@@ -8,13 +8,17 @@
 // cell is rank-verified against std::upper_bound before it is timed, so
 // the bench doubles as an exactness gate and CI can run it as one.
 //
-// The headline comparison, recorded in the JSON artifact: on an
-// out-of-L2 partition the interleaved Eytzinger kernel must beat the
-// scalar branchless search by >= 1.5x — that is the memory-level
-// parallelism the batch kernels exist for.
+// The headline comparison, recorded in the JSON artifact and gated by
+// the exit code: on an out-of-L2 partition the interleaved Eytzinger
+// kernel must beat the scalar branchless search by >= 1.5x — that is the
+// memory-level parallelism the batch kernel exists for, and the reason
+// it stays on the menu.
 //
 //   $ ./bench_kernels                       # full sweep
 //   $ ./bench_kernels --quick --json out.json   # CI smoke artifact
+//
+// Exit status: 1 on any rank mismatch or when the out-of-L2 ratio falls
+// below its target, 2 when the JSON cannot be written.
 #include "bench/bench_common.hpp"
 
 #include <algorithm>
@@ -53,6 +57,9 @@ std::uint64_t host_l2_bytes() {
   // acceptance ratio is still recorded when sysconf can't say.
   return 1 * MiB;
 }
+
+/// Out-of-L2 batched-eytzinger / branchless speedup the bench gates on.
+constexpr double kOutOfL2Target = 1.5;
 
 }  // namespace
 
@@ -166,15 +173,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n  Reading: on a cache-resident partition the branchless kernels\n"
-      "  win (no misses to hide, cmov beats mispredicts). Once the\n"
-      "  partition leaves L2 every probe is a dependent miss and the\n"
-      "  ordering flips: the eytzinger layout packs the hot top levels\n"
-      "  and makes one prefetch cover four, and the interleaved kernels\n"
-      "  keep W misses in flight instead of one.\n"
+      "\n  Reading: on a cache-resident partition the scalar eytzinger\n"
+      "  kernel wins: the BFS layout keeps the hot top levels in a few\n"
+      "  resident lines and its descent is as branch-free as branchless,\n"
+      "  which it beats several times over. Once the partition leaves L2\n"
+      "  every probe is a dependent miss and overlap wins instead:\n"
+      "  batched-eytzinger keeps W misses in flight, each lane's one\n"
+      "  prefetch covering four levels. branchless needs no second key\n"
+      "  copy, which is why it stays the default.\n"
       "\n  out-of-L2 acceptance: batched-eytzinger vs branchless = %.2fx"
-      "  (target: >= 1.5x)\n",
-      acceptance_ratio);
+      "  (target: >= %.1fx)\n",
+      acceptance_ratio, kOutOfL2Target);
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
@@ -211,6 +220,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "RANK MISMATCH: %llu ranks disagree with "
                  "std::upper_bound\n",
                  static_cast<unsigned long long>(total_mismatches));
+    return 1;
+  }
+  if (acceptance_ratio < kOutOfL2Target) {
+    std::fprintf(stderr, "out-of-L2 batched-eytzinger vs branchless = %.2fx, "
+                 "below the %.1fx target\n",
+                 acceptance_ratio, kOutOfL2Target);
     return 1;
   }
   return 0;

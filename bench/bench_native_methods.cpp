@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
-#include <optional>
 
 #include "src/core/engine.hpp"
 #include "src/core/parallel_engine.hpp"
@@ -109,65 +108,40 @@ void BM_BranchlessUpperBound(benchmark::State& state) {
 BENCHMARK(BM_BranchlessUpperBound)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18)
     ->Arg(1 << 21);
 
-void BM_PrefetchUpperBound(benchmark::State& state) {
-  const auto& d = data(static_cast<std::size_t>(state.range(0)));
-  std::size_t qi = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index::prefetch_upper_bound(d.keys, d.queries[qi]));
-    qi = (qi + 1) % d.queries.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PrefetchUpperBound)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
-
-template <index::SearchKernel Kernel>
 void BM_EytzingerLookup(benchmark::State& state) {
   const auto& d = data(static_cast<std::size_t>(state.range(0)));
   const index::EytzingerLayout layout(d.keys);
   std::size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        Kernel == index::SearchKernel::kEytzingerPrefetch
-            ? index::eytzinger_prefetch_upper_bound(layout, d.queries[qi])
-            : index::eytzinger_upper_bound(layout, d.queries[qi]));
+        index::eytzinger_upper_bound(layout, d.queries[qi]));
     qi = (qi + 1) % d.queries.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EytzingerLookup<index::SearchKernel::kEytzinger>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
-BENCHMARK(BM_EytzingerLookup<index::SearchKernel::kEytzingerPrefetch>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_EytzingerLookup)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
 
-// The interleaved kernels are measured per-message (the shape the
-// worker loop feeds them), not per-lookup: W lockstep searches only
-// overlap their misses when the batch is there to interleave.
-template <index::SearchKernel Kernel>
-void BM_BatchedKernel(benchmark::State& state) {
+// The interleaved kernel is measured per-message (the shape the worker
+// loop feeds it), not per-lookup: W lockstep searches only overlap
+// their misses when the batch is there to interleave.
+void BM_BatchedEytzinger(benchmark::State& state) {
   const auto& d = data(static_cast<std::size_t>(state.range(0)));
-  // The BFS copy is only built for the kernels that probe it.
-  std::optional<index::EytzingerLayout> layout;
-  if (index::kernel_layout(Kernel) == index::KeyLayout::kEytzinger)
-    layout.emplace(d.keys);
+  const index::EytzingerLayout layout(d.keys);
   const std::size_t batch = 1 << 12;
   std::vector<rank_t> out(batch);
   std::size_t qi = 0;
   for (auto _ : state) {
     const std::span<const key_t> slice(
         d.queries.data() + qi, std::min(batch, d.queries.size() - qi));
-    index::resolve_batch(Kernel, d.keys, layout ? &*layout : nullptr, slice,
-                         out.data());
+    index::resolve_batch(index::SearchKernel::kBatchedEytzinger, d.keys,
+                         &layout, slice, out.data());
     benchmark::DoNotOptimize(out.data());
     qi = (qi + batch < d.queries.size()) ? qi + batch : 0;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_BatchedKernel<index::SearchKernel::kBatchedBranchless>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
-BENCHMARK(BM_BatchedKernel<index::SearchKernel::kBatchedEytzinger>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_BatchedEytzinger)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
 
 // End-to-end Method C-3 through the unified Engine seam: the same
 // ExperimentConfig drives the one-queue-per-slave NativeCluster and the

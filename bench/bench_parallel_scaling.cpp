@@ -4,9 +4,9 @@
 // the speedup off the makespan; this bench does the same on one host:
 // grow the worker-thread count, keep the workload fixed, and report
 // wall-clock throughput, speedup vs one thread, and parallel efficiency.
-// A second table compares the three exact search kernels, since the
-// branchless/prefetch variants are the per-shard analogue of the paper's
-// cache-conscious slave structures; a third measures index reuse vs
+// A second table compares every exact search kernel, since the
+// branchless and Eytzinger variants are the per-shard analogue of the
+// paper's cache-conscious slave structures; a third measures index reuse vs
 // rebuild-per-call amortization through the v2 build/connect API (the
 // clients x in-flight-depth surface lives in bench_multiclient).
 #include "bench/bench_common.hpp"
@@ -20,13 +20,6 @@
 using namespace dici;
 
 namespace {
-
-core::SearchKernel kernel_from_name(const std::string& name) {
-  core::SearchKernel kernel{};
-  if (core::parse_search_kernel(name, &kernel)) return kernel;
-  std::fprintf(stderr, "unknown kernel '%s'\n", name.c_str());
-  std::exit(1);
-}
 
 /// Best-of-`repeats` wall time: scheduler jitter makes min far more
 /// stable than mean at these run lengths. v2 API: the index (and its
@@ -57,9 +50,9 @@ int main(int argc, char** argv) {
   cli.add_bytes("batch", "dispatcher round size", 64 * KiB);
   cli.add_int("maxthreads", "largest worker count to sweep", 8);
   cli.add_int("shards-per-thread", "shards per worker thread", 1);
-  cli.add_string("kernel", "search kernel for the thread sweep (see "
-                 "fast_search.hpp; the kernel table below sweeps them all)",
-                 "branchless");
+  cli.add_string("kernel", std::string("search kernel for the thread "
+                 "sweep: ") + index::kSearchKernelChoices +
+                 " (the kernel table below sweeps them all)", "branchless");
   cli.add_int("repeats", "timed repetitions per row (best kept)", 3);
   cli.add_int("session-batches", "largest batch count in the session-reuse "
               "table (powers of two up to it, plus itself)", 8);
@@ -70,7 +63,8 @@ int main(int argc, char** argv) {
   const auto w = bench::make_workload(
       quick ? (1u << 14) : static_cast<std::size_t>(cli.get_int("keys")),
       quick ? (1u << 16) : static_cast<std::size_t>(cli.get_int("queries")));
-  const auto kernel = kernel_from_name(cli.get_string("kernel"));
+  const auto kernel =
+      core::search_kernel_from_flag(cli.get_string("kernel"), "--kernel");
   const int repeats = quick ? 1 : static_cast<int>(cli.get_int("repeats"));
   const auto max_threads = static_cast<std::uint32_t>(
       quick ? 4 : cli.get_int("maxthreads"));

@@ -63,23 +63,14 @@ bool parse_backends(const std::string& csv,
   return !out->empty();
 }
 
-bool parse_kernels(const std::string& csv,
-                   std::vector<core::SearchKernel>* out) {
-  out->clear();
-  if (csv == "all") {
-    out->assign(core::all_search_kernels().begin(),
-                core::all_search_kernels().end());
-    return true;
-  }
-  for (const std::string& name : split_csv(csv)) {
-    core::SearchKernel kernel{};
-    if (!core::parse_search_kernel(name, &kernel)) {
-      std::fprintf(stderr, "unknown kernel '%s'\n", name.c_str());
-      return false;
-    }
-    out->push_back(kernel);
-  }
-  return !out->empty();
+std::vector<core::SearchKernel> parse_kernels(const std::string& csv) {
+  if (csv == "all")
+    return {core::all_search_kernels().begin(),
+            core::all_search_kernels().end()};
+  std::vector<core::SearchKernel> kernels;
+  for (const std::string& name : split_csv(csv))
+    kernels.push_back(core::search_kernel_from_flag(name, "--kernels"));
+  return kernels;
 }
 
 bool parse_write_fractions(const std::string& csv,
@@ -132,8 +123,8 @@ int main(int argc, char** argv) {
   cli.add_string("transport", "frame transport for cluster cells: "
                  "ring|socket|fork|tcp (fork/tcp spawn real dici_node "
                  "processes)", "ring");
-  cli.add_string("kernels", "comma list of search kernels (see "
-                 "fast_search.hpp), or 'all'", "all");
+  cli.add_string("kernels", std::string("comma list of ") +
+                 index::kSearchKernelChoices + ", or 'all'", "all");
   cli.add_string("placements", "comma list of "
                  "interleave|node-local|replicate, or 'all' (parallel-native "
                  "sweeps them; other backends run the first)", "all");
@@ -171,8 +162,7 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(1, cli.get_int("in-flight")));
   if (!parse_backends(cli.get_string("backends"), &options.backends))
     return 2;
-  if (!parse_kernels(cli.get_string("kernels"), &options.kernels))
-    return 2;
+  options.kernels = parse_kernels(cli.get_string("kernels"));
   if (!parse_placements(cli.get_string("placements"), &options.placements))
     return 2;
   options.transport =

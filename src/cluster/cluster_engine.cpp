@@ -58,10 +58,6 @@ ClusterEngine::ClusterEngine(const ClusterConfig& config) : config_(config) {
       "heartbeat_interval_ms = %u: the timeout must be at least twice the "
       "interval, or one delayed beat kills a healthy node",
       config_.heartbeat_timeout_ms, config_.heartbeat_interval_ms);
-  DICI_CHECK_FMT(config_.ring_frames >= 1,
-                 "ClusterConfig::ring_frames = %zu: a frame pipe needs at "
-                 "least one slot",
-                 config_.ring_frames);
   DICI_CHECK_FMT(config_.retry_backoff_us >= 1,
                  "ClusterConfig::retry_backoff_us = %u: the retry sweeper "
                  "needs a nonzero base backoff",
@@ -364,7 +360,6 @@ class ClusterIndex : public Index {
   net::NodeConfigMsg node_config_msg() const {
     net::NodeConfigMsg msg;
     msg.kernel = static_cast<std::uint8_t>(config_.kernel);
-    msg.interleave_width = config_.interleave_width;
     msg.heartbeat_interval_ms = config_.heartbeat_interval_ms;
     msg.num_nodes = config_.num_nodes;
     return msg;
@@ -389,7 +384,7 @@ class ClusterIndex : public Index {
   std::pair<std::unique_ptr<net::Endpoint>, std::unique_ptr<net::Endpoint>>
   make_link(std::uint32_t i, std::uint32_t epoch) const {
     auto [coordinator_end, node_end] =
-        net::make_transport_pair(config_.transport, config_.ring_frames);
+        net::make_transport_pair(config_.transport);
     if (controller_ == nullptr)
       return {std::move(coordinator_end), std::move(node_end)};
     std::uint64_t state =

@@ -93,15 +93,12 @@ struct ClusterConfig {
   std::uint64_t batch_bytes = 64 * KiB;
   net::TransportKind transport = net::TransportKind::kRing;
   index::SearchKernel kernel = index::SearchKernel::kBranchless;
-  std::uint32_t interleave_width = index::kDefaultInterleave;
   index::Placement placement = index::Placement::kInterleave;
   /// Node -> coordinator heartbeat cadence.
   std::uint32_t heartbeat_interval_ms = 25;
   /// Silence past this marks a node DEAD and fails its in-flight
   /// batches. Must be at least 2x the interval (validated).
   std::uint32_t heartbeat_timeout_ms = 250;
-  /// In-flight frame capacity per direction of a kRing link.
-  std::size_t ring_frames = 1024;
   /// The dici_node binary the process transports (kFork/kTcp) spawn.
   /// Empty = the DICI_NODE_BIN env override if set, else "dici_node"
   /// next to the running executable (ProcessNode::default_binary).

@@ -71,7 +71,6 @@ bool NodeService::await_config() {
     if (msg.num_nodes == 0) return false;
     epoch_ = std::max(epoch_, frame.header.epoch);
     kernel_ = kernel;
-    if (msg.interleave_width >= 1) interleave_width_ = msg.interleave_width;
     heartbeat_interval_ms_ = std::max<std::uint32_t>(1u, msg.heartbeat_interval_ms);
     membership_ = Membership(msg.num_nodes);
     return true;
@@ -198,7 +197,7 @@ bool NodeService::handle_query_batch(const net::Frame& frame) {
   reply.ids = std::move(msg.ids);
   reply.ranks.resize(msg.keys.size());
   index::resolve_batch(kernel_, replica.keys, replica.layout.get(),
-                       msg.keys, reply.ranks.data(), interleave_width_);
+                       msg.keys, reply.ranks.data());
   for (rank_t& r : reply.ranks) r += replica.global_offset;
   reply.busy_ns = static_cast<std::uint64_t>(busy.elapsed_ns());
 

@@ -11,10 +11,10 @@
 //
 // Bootstrap (both modes, one path): the service sends kJoinRequest,
 // waits for kJoinAck, then waits for kNodeConfig — the coordinator's
-// wire-carried configuration (kernel, interleave width, heartbeat
-// cadence, cluster size). A freshly exec'd process learns everything
-// from the coordinator; an in-process node gets the identical frames,
-// so there is no second code path to rot.
+// wire-carried configuration (kernel, heartbeat cadence, cluster
+// size). A freshly exec'd process learns everything from the
+// coordinator; an in-process node gets the identical frames, so there
+// is no second code path to rot.
 //
 // Service loop (after the bootstrap):
 //   recv(heartbeat interval) →
@@ -112,7 +112,6 @@ class NodeService {
 
   // Configuration, all from the kNodeConfig frame (await_config).
   index::SearchKernel kernel_ = index::SearchKernel::kBranchless;
-  std::uint32_t interleave_width_ = index::kDefaultInterleave;
   std::uint32_t heartbeat_interval_ms_ = 25;
 
   Membership membership_{1};  ///< service-thread-only mirror, resized

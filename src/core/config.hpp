@@ -21,6 +21,7 @@ using index::all_search_kernels;
 using index::kernel_layout;
 using index::key_layout_name;
 using index::parse_search_kernel;
+using index::search_kernel_from_flag;
 using index::search_kernel_name;
 using index::search_kernel_valid;
 

@@ -252,27 +252,13 @@ class NativeClient : public Client {
   std::unique_ptr<Completion> do_submit(
       std::span<const key_t> queries, std::vector<rank_t>* out_ranks,
       const SubmitOptions& options) override {
-    const std::span<const double> queued_ns = options.queued_ns;
-    const NativeReport native =
-        cluster_->run(index().keys(), queries, out_ranks);
+    RunReport report = cluster_->run(index().keys(), queries, out_ranks);
     // Delta merge: NativeCluster resolves against the base only, so the
     // live-set correction is a post-pass over the (already in-cache)
     // result array — the delta itself is small enough to stay L1/L2
     // resident across the batch.
     if (options.delta != nullptr && out_ranks != nullptr)
       options.delta->correct(queries, out_ranks->data());
-    RunReport report;
-    report.method = native.method;
-    report.num_queries = native.num_queries;
-    report.num_nodes = native.num_nodes;
-    report.batch_bytes = cluster_->config().batch_bytes;
-    // No normalize_replicated division here: the simulator measures A/B
-    // on ONE node and credits a free dispatcher by dividing, whereas the
-    // native engine runs num_nodes real worker threads — its wall time
-    // already IS the whole-cluster makespan.
-    report.raw_makespan = ns_to_ps(native.seconds * 1e9);
-    report.makespan = report.raw_makespan;
-    report.messages = native.messages;
     if (cluster_->config().track_latency) {
       // NativeCluster resolves the whole submission synchronously, so
       // the finest wall-clock granularity it has is the batch: every
@@ -281,11 +267,12 @@ class NativeClient : public Client {
       // whatever wait it brought along from the caller's batcher queue.
       // ParallelNativeEngine is the backend with true per-message
       // completion stamps.
-      const double batch_ns = native.seconds * 1e9;
-      if (queued_ns.empty()) {
-        report.latency_ns.add_n(batch_ns, native.num_queries);
+      const double batch_ns = report.seconds() * 1e9;
+      if (options.queued_ns.empty()) {
+        report.latency_ns.add_n(batch_ns, report.num_queries);
       } else {
-        for (const double q : queued_ns) report.latency_ns.add(batch_ns + q);
+        for (const double q : options.queued_ns)
+          report.latency_ns.add(batch_ns + q);
       }
     }
     return std::make_unique<ImmediateCompletion>(std::move(report));

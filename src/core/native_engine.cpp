@@ -17,14 +17,36 @@
 
 namespace dici::core {
 
+namespace {
+
+/// The wall-clock RunReport both run paths return. No
+/// normalize_replicated division here: the simulator measures A/B on ONE
+/// node and credits a free dispatcher by dividing, whereas the native
+/// engine runs num_nodes real worker threads — its wall time already IS
+/// the whole-cluster makespan.
+RunReport wall_report(const NativeConfig& config, std::size_t num_queries,
+                      double seconds, std::uint64_t messages) {
+  RunReport report;
+  report.method = config.method;
+  report.num_queries = num_queries;
+  report.num_nodes = config.num_nodes;
+  report.batch_bytes = config.batch_bytes;
+  report.raw_makespan = ns_to_ps(seconds * 1e9);
+  report.makespan = report.raw_makespan;
+  report.messages = messages;
+  return report;
+}
+
+}  // namespace
+
 NativeCluster::NativeCluster(const NativeConfig& config) : config_(config) {
   DICI_CHECK(config_.num_nodes >= 1);
   DICI_CHECK(config_.batch_bytes >= sizeof(key_t));
 }
 
-NativeReport NativeCluster::run(std::span<const key_t> index_keys,
-                                std::span<const key_t> queries,
-                                std::vector<rank_t>* out_ranks) const {
+RunReport NativeCluster::run(std::span<const key_t> index_keys,
+                             std::span<const key_t> queries,
+                             std::vector<rank_t>* out_ranks) const {
   DICI_CHECK(!index_keys.empty());
   if (out_ranks != nullptr) out_ranks->assign(queries.size(), 0);
   return is_distributed(config_.method)
@@ -35,10 +57,9 @@ NativeReport NativeCluster::run(std::span<const key_t> index_keys,
 // Methods A/B natively: N workers share the (replicated-in-spirit,
 // physically shared read-only) tree, each owning a contiguous slice of
 // the query stream — the zero-overhead load balancer the paper credits.
-NativeReport NativeCluster::run_replicated(std::span<const key_t> index_keys,
-                                           std::span<const key_t> queries,
-                                           std::vector<rank_t>* out_ranks)
-    const {
+RunReport NativeCluster::run_replicated(std::span<const key_t> index_keys,
+                                        std::span<const key_t> queries,
+                                        std::vector<rank_t>* out_ranks) const {
   const index::TreeConfig tree_cfg{config_.tree_node_bytes,
                                    index::TreeLayout::kExplicitPointers};
   const index::StaticTree tree(index_keys, tree_cfg);
@@ -79,23 +100,16 @@ NativeReport NativeCluster::run_replicated(std::span<const key_t> index_keys,
     });
   }
   for (auto& t : threads) t.join();
-
-  NativeReport report;
-  report.method = config_.method;
-  report.num_queries = queries.size();
-  report.num_nodes = workers;
-  report.seconds = timer.elapsed_sec();
-  return report;
+  return wall_report(config_, queries.size(), timer.elapsed_sec(), 0);
 }
 
 // Method C natively: a master thread routes batches into per-slave
 // queues; slave threads resolve them against their cache-sized partition
 // and scatter results straight into the output array (the "dispatch to
 // the target" step — no reply hop needed in shared memory).
-NativeReport NativeCluster::run_distributed(std::span<const key_t> index_keys,
-                                            std::span<const key_t> queries,
-                                            std::vector<rank_t>* out_ranks)
-    const {
+RunReport NativeCluster::run_distributed(std::span<const key_t> index_keys,
+                                         std::span<const key_t> queries,
+                                         std::vector<rank_t>* out_ranks) const {
   DICI_CHECK_MSG(config_.num_nodes >= 2,
                  "Method C needs a master and at least one slave");
   const std::uint32_t S = config_.num_nodes - 1;
@@ -158,7 +172,7 @@ NativeReport NativeCluster::run_distributed(std::span<const key_t> index_keys,
             break;
           }
           default:
-            // One kernel call per message (the interleaved kernels keep
+            // One kernel call per message (the interleaved kernel keeps
             // several misses in flight), then the id scatter.
             local.resize(batch->keys.size());
             index::resolve_batch(config_.kernel, part, layout.get(),
@@ -172,7 +186,9 @@ NativeReport NativeCluster::run_distributed(std::span<const key_t> index_keys,
   }
 
   // Master: route in rounds of batch_bytes, flushing per-slave batches.
-  {
+  // It gets its own thread, pinned like the slaves: pinning the caller
+  // instead would leak a one-CPU mask into every fleet it builds later.
+  std::thread master([&] {
     if (config_.pin_threads) pin_current_thread(0);
     messages = dispatch_master_rounds(
         queries, config_.batch_bytes, S,
@@ -181,16 +197,10 @@ NativeReport NativeCluster::run_distributed(std::span<const key_t> index_keys,
           queues[s].push(std::move(batch));
         });
     for (auto& q : queues) q.close();
-  }
+  });
+  master.join();
   for (auto& t : slaves) t.join();
-
-  NativeReport report;
-  report.method = config_.method;
-  report.num_queries = queries.size();
-  report.num_nodes = config_.num_nodes;
-  report.seconds = timer.elapsed_sec();
-  report.messages = messages;
-  return report;
+  return wall_report(config_, queries.size(), timer.elapsed_sec(), messages);
 }
 
 }  // namespace dici::core

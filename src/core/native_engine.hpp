@@ -40,39 +40,26 @@ struct NativeConfig {
   bool track_latency = false;
 };
 
-struct NativeReport {
-  Method method{};
-  std::uint64_t num_queries = 0;
-  std::uint32_t num_nodes = 0;
-  double seconds = 0;
-  double per_key_ns() const {
-    return num_queries ? seconds * 1e9 / static_cast<double>(num_queries)
-                       : 0.0;
-  }
-  double throughput_qps() const {
-    return seconds > 0 ? static_cast<double>(num_queries) / seconds : 0.0;
-  }
-  std::uint64_t messages = 0;
-};
-
 class NativeCluster {
  public:
   explicit NativeCluster(const NativeConfig& config);
 
   /// Run all queries; fills `out_ranks` (query order) when non-null.
-  NativeReport run(std::span<const key_t> index_keys,
-                   std::span<const key_t> queries,
-                   std::vector<rank_t>* out_ranks = nullptr) const;
+  /// The report's makespan is measured wall time. Every thread it pins
+  /// is one it spawned, so the caller's CPU affinity is left untouched.
+  RunReport run(std::span<const key_t> index_keys,
+                std::span<const key_t> queries,
+                std::vector<rank_t>* out_ranks = nullptr) const;
 
   const NativeConfig& config() const { return config_; }
 
  private:
-  NativeReport run_replicated(std::span<const key_t> index_keys,
-                              std::span<const key_t> queries,
-                              std::vector<rank_t>* out_ranks) const;
-  NativeReport run_distributed(std::span<const key_t> index_keys,
-                               std::span<const key_t> queries,
-                               std::vector<rank_t>* out_ranks) const;
+  RunReport run_replicated(std::span<const key_t> index_keys,
+                           std::span<const key_t> queries,
+                           std::vector<rank_t>* out_ranks) const;
+  RunReport run_distributed(std::span<const key_t> index_keys,
+                            std::span<const key_t> queries,
+                            std::vector<rank_t>* out_ranks) const;
 
   NativeConfig config_;
 };
@@ -84,7 +71,7 @@ class NativeCluster {
 NativeConfig native_config_from(const ExperimentConfig& config);
 
 /// Engine adapter over NativeCluster: the same five methods on real
-/// threads, reported as a RunReport whose makespan is measured wall time.
+/// threads, behind the v2 build/connect/submit surface.
 class NativeEngine : public Engine {
  public:
   explicit NativeEngine(const NativeConfig& config) : cluster_(config) {}

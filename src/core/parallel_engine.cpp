@@ -36,15 +36,6 @@ ParallelNativeEngine::ParallelNativeEngine(const ParallelConfig& config)
   DICI_CHECK_FMT(search_kernel_valid(config_.kernel),
                  "ParallelConfig::kernel = %d: not a SearchKernel value",
                  static_cast<int>(config_.kernel));
-  DICI_CHECK_FMT(config_.interleave_width >= 2 &&
-                     config_.interleave_width <= index::kMaxInterleave,
-                 "ParallelConfig::interleave_width = %u: the lockstep kernels "
-                 "interleave 2..%u queries",
-                 config_.interleave_width, index::kMaxInterleave);
-  DICI_CHECK_FMT(config_.ring_slots >= 1,
-                 "ParallelConfig::ring_slots = %zu: a dispatch ring needs at "
-                 "least one slot",
-                 config_.ring_slots);
   DICI_CHECK_FMT(placement_valid(config_.placement),
                  "ParallelConfig::placement = %d: not a Placement value",
                  static_cast<int>(config_.placement));
@@ -52,10 +43,6 @@ ParallelNativeEngine::ParallelNativeEngine(const ParallelConfig& config)
                  "ParallelConfig::numa_nodes = %u: 0 discovers the host, "
                  "1..1024 simulate",
                  config_.numa_nodes);
-  DICI_CHECK_FMT(config_.steal_threshold >= 1,
-                 "ParallelConfig::steal_threshold = %u: a cross-node steal "
-                 "needs a backlog of at least one batch",
-                 config_.steal_threshold);
 }
 
 ParallelConfig parallel_config_from(const ExperimentConfig& config) {
@@ -102,6 +89,16 @@ std::uint32_t clamped_shards(const ParallelConfig& config, std::size_t n) {
 /// 2 kHz forever; any popped or stolen item resets it.
 constexpr std::chrono::microseconds kStealRecheckNap{500};
 constexpr std::chrono::microseconds kStealRecheckNapCap{32 * 1024};
+
+/// Capacity (work items, rounded up to a power of two) of each
+/// (client, worker) SPSC dispatch ring. A full ring back-pressures that
+/// client's submit with a spin-yield; 256 slots of ~64 B is ample
+/// submit-ahead slack per client.
+constexpr std::size_t kRingSlots = 256;
+
+/// Minimum victim backlog (pending batches) before a CROSS-NODE steal
+/// is worth the remote-memory price; same-node steals ignore it.
+constexpr std::size_t kCrossNodeStealBacklog = 2;
 
 /// Completion record for one submitted batch, shared between the
 /// submitting client, every work item the batch fanned out into, and
@@ -193,7 +190,7 @@ struct Submission {
 /// Each worker consumes one SpscRingHub whose channels are the
 /// connected clients; a worker whose own rings run dry STEALS whole
 /// work items — same-node victims first, cross-node only from victims
-/// whose backlog clears the configured threshold — so a skewed stream
+/// whose backlog reaches kCrossNodeStealBacklog — so a skewed stream
 /// no longer serializes on the hot shard's owner. Immutable after the
 /// build barrier except for the rings, so any number of clients may
 /// submit concurrently.
@@ -268,7 +265,7 @@ class ParallelIndex : public Index {
   std::vector<std::shared_ptr<WorkChannel>> open_channels() const {
     std::vector<std::shared_ptr<WorkChannel>> channels;
     channels.reserve(config_.num_threads);
-    for (auto& hub : hubs_) channels.push_back(hub.open(config_.ring_slots));
+    for (auto& hub : hubs_) channels.push_back(hub.open(kRingSlots));
     return channels;
   }
 
@@ -304,10 +301,10 @@ class ParallelIndex : public Index {
     const DispatchBatch& batch = item.batch;
     Submission& sub = *item.sub;
     // Resolve the whole message in one kernel call (the interleaved
-    // kernels overlap the lanes' cache misses), then scatter by id.
+    // kernel overlaps the lanes' cache misses), then scatter by id.
     scratch_.resize(batch.keys.size());
     index::resolve_batch(config_.kernel, part, layout, batch.keys,
-                         scratch_.data(), config_.interleave_width);
+                         scratch_.data());
     if (sub.delta == nullptr) {
       for (std::size_t j = 0; j < batch.keys.size(); ++j)
         sub.out[batch.ids[j]] = offset + scratch_[j];
@@ -360,7 +357,7 @@ class ParallelIndex : public Index {
     for (std::uint32_t offset = 1; offset < T; ++offset) {
       const std::uint32_t v = (w + offset) % T;
       if (worker_node_[v] == node) continue;
-      if (hubs_[v].pending() < config_.steal_threshold) continue;
+      if (hubs_[v].pending() < kCrossNodeStealBacklog) continue;
       if (hubs_[v].try_steal(item)) return true;
     }
     return false;
@@ -420,7 +417,10 @@ class ParallelIndex : public Index {
   // Mutable: opening channels and pushing work are logically const (the
   // hubs synchronize internally); everything else is truly immutable.
   mutable std::vector<WorkHub> hubs_;
-  std::latch built_;
+  /// On a cache line of its own, away from the fields every started
+  /// worker reads in its loop: sharing a line with them made build()
+  /// ~0.5 ms (25 %) slower on a 4-vCPU host.
+  alignas(64) std::latch built_;
   std::vector<std::thread> workers_;
   /// Per-worker scratch for one message's local ranks before the
   /// scatter. thread_local so thieves and owners never share it.

@@ -10,12 +10,12 @@
 // Shard key copies are placed per ParallelConfig::placement
 // (index::PlacedShards): first-touched on the owner's node, or fully
 // replicated per node so every probe is local. Idle workers steal whole
-// batches — same-node victims first, cross-node only past
-// steal_threshold backlog — so skewed streams don't serialize on the
+// batches — same-node victims first, cross-node only from a victim two
+// or more batches behind — so skewed streams don't serialize on the
 // hot shard's worker.
 // Slaves resolve whole batches through index::resolve_batch — the
-// scalar branchless/prefetch kernels, the Eytzinger-layout kernels, or
-// the interleaved batch kernels that keep W cache misses in flight per
+// scalar branchless kernel, the Eytzinger-layout kernel, or the
+// interleaved batch kernel that keeps W cache misses in flight per
 // round — and scatter-merge results by query id, so the output array is
 // in query order without a sort; each id is written exactly once by
 // exactly one worker. When an eytzinger kernel is configured, build()
@@ -71,15 +71,6 @@ struct ParallelConfig {
   /// from the allowed cpuset, never the raw online count).
   bool pin_threads = true;
   SearchKernel kernel = SearchKernel::kBranchless;
-  /// Queries the interleaved (batched-*) kernels advance in lockstep —
-  /// the number of cache misses kept in flight per worker. Ignored by
-  /// the scalar kernels; must be in [2, index::kMaxInterleave].
-  std::uint32_t interleave_width = index::kDefaultInterleave;
-  /// Capacity (work items, rounded up to a power of two) of each
-  /// (client, worker) SPSC dispatch ring. A full ring back-pressures
-  /// that client's submit with a spin-yield, so deeper rings buy more
-  /// submit-ahead slack per client at ~64 B a slot.
-  std::size_t ring_slots = 256;
   /// Per-message framing charged to RunReport::wire_bytes so the field
   /// is comparable with the simulator's (request hop only: results are
   /// scattered directly in shared memory, so there is no reply hop).
@@ -96,13 +87,10 @@ struct ParallelConfig {
   std::uint32_t numa_nodes = 0;
   /// Bounded work stealing: a worker whose own rings are empty takes
   /// whole dispatch batches from same-node victims first, cross-node
-  /// only from victims with at least steal_threshold batches pending —
-  /// so skewed streams stop serializing on the hot shard's worker, but
-  /// an almost-balanced fleet doesn't churn batches across sockets.
+  /// only from victims with at least two batches pending — so skewed
+  /// streams stop serializing on the hot shard's worker, but an
+  /// almost-balanced fleet doesn't churn batches across sockets.
   bool work_stealing = true;
-  /// Minimum victim backlog (pending batches) before a CROSS-NODE steal
-  /// is worth the remote-memory price; same-node steals ignore it.
-  std::uint32_t steal_threshold = 2;
   /// Record measured wall-clock response times into
   /// RunReport::latency_ns: the submitting client stamps steady_clock
   /// at submit, the worker that resolves each dispatched message stamps

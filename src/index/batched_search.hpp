@@ -1,4 +1,4 @@
-// Interleaved batch kernels — memory-level parallelism for the slave
+// The interleaved batch kernel — memory-level parallelism for the slave
 // probe.
 //
 // A single binary search is one chain of dependent cache misses: probe,
@@ -6,7 +6,7 @@
 // overlap those misses, because each address depends on the previous
 // load. But a slave never resolves one query — it resolves a message
 // full of them, and distinct queries' descents are independent. The
-// kernels here advance W ("interleave width") searches in lockstep, one
+// kernel here advances W ("interleave width") searches in lockstep, one
 // tree level per round, issuing every lane's next probe as a prefetch
 // before any lane blocks on its load. The result: up to W misses in
 // flight per round instead of one, so DRAM latency amortizes across the
@@ -15,13 +15,12 @@
 // memory bus.
 //
 // Lockstep works because every lane searches the SAME partition: the
-// halving sequence (sorted layout) and the level count (eytzinger
-// layout) depend only on n, so all lanes walk the same number of
-// rounds and no lane waits on another.
+// level count of the Eytzinger layout depends only on n, so all lanes
+// walk the same number of rounds and no lane waits on another.
 //
 // resolve_batch() is the one entry point the engines use: it maps a
 // SearchKernel onto the scalar kernels (fast_search.hpp,
-// eytzinger.hpp) or the interleaved ones below, so every backend
+// eytzinger.hpp) or the interleaved one below, so every backend
 // resolves whole messages through identical code.
 #pragma once
 
@@ -39,39 +38,6 @@ namespace dici::index {
 
 // kMaxInterleave / kDefaultInterleave (the W bounds) live in
 // fast_search.hpp with the rest of the kernel vocabulary.
-
-/// Interleaved branchless upper_bound over the SORTED layout: W lanes
-/// halve in lockstep, each round prefetching every lane's boundary
-/// element before any lane's cmov consumes it.
-inline void batched_branchless_upper_bound(std::span<const key_t> keys,
-                                           std::span<const key_t> queries,
-                                           rank_t* out, std::uint32_t width) {
-  width = std::clamp<std::uint32_t>(width, 1, kMaxInterleave);
-  const key_t* data = keys.data();
-  const std::size_t total = queries.size();
-  for (std::size_t g = 0; g < total; g += width) {
-    const std::uint32_t m =
-        static_cast<std::uint32_t>(std::min<std::size_t>(width, total - g));
-    const key_t* base[kMaxInterleave];
-    for (std::uint32_t i = 0; i < m; ++i) base[i] = data;
-    std::size_t n = keys.size();
-    while (n > 1) {
-      const std::size_t half = n / 2;
-#if defined(__GNUC__) || defined(__clang__)
-      for (std::uint32_t i = 0; i < m; ++i)
-        __builtin_prefetch(base[i] + half - 1, 0, 1);
-#endif
-      for (std::uint32_t i = 0; i < m; ++i)
-        base[i] = (base[i][half - 1] <= queries[g + i]) ? base[i] + half
-                                                        : base[i];
-      n -= half;
-    }
-    for (std::uint32_t i = 0; i < m; ++i)
-      out[g + i] = static_cast<rank_t>(
-          static_cast<std::size_t>(base[i] - data) +
-          (n == 1 && *base[i] <= queries[g + i] ? 1 : 0));
-  }
-}
 
 /// Interleaved upper_bound over the EYTZINGER layout: W lockstep BFS
 /// descents, each round prefetching the line that holds every lane's
@@ -94,7 +60,7 @@ inline void batched_eytzinger_upper_bound(const EytzingerLayout& layout,
     for (std::uint32_t level = 0; level < levels; ++level) {
 #if defined(__GNUC__) || defined(__clang__)
       for (std::uint32_t i = 0; i < m; ++i)
-        __builtin_prefetch(e + (k[i] << kEytzingerPrefetchLevels), 0, 1);
+        __builtin_prefetch(e + (k[i] << kEytzingerLookaheadLevels), 0, 1);
 #endif
       for (std::uint32_t i = 0; i < m; ++i) {
         const std::size_t ki = k[i];
@@ -114,10 +80,12 @@ inline void batched_eytzinger_upper_bound(const EytzingerLayout& layout,
 
 /// Resolve one whole message against one partition with the configured
 /// kernel: the single probe seam shared by the parallel engine's worker
-/// loop and the native cluster's C-3 slaves. `layout` is required (and
-/// only consulted) for the eytzinger-layout kernels; `sorted_keys` is
-/// required for the sorted-layout ones. Ranks land in `out` in query
-/// order, exactly std::upper_bound's answers.
+/// loop, the cluster nodes and the native cluster's C-3 slaves. `layout`
+/// is required (and only consulted) for the eytzinger-layout kernels;
+/// `sorted_keys` is required for the sorted-layout ones. `width` is the
+/// batched kernel's W; the engines run the default, tests sweep it to
+/// exercise ragged lanes. Ranks land in `out` in query order, exactly
+/// std::upper_bound's answers.
 inline void resolve_batch(SearchKernel kernel,
                           std::span<const key_t> sorted_keys,
                           const EytzingerLayout* layout,
@@ -140,20 +108,9 @@ inline void resolve_batch(SearchKernel kernel,
       for (std::size_t j = 0; j < queries.size(); ++j)
         out[j] = branchless_upper_bound(sorted_keys, queries[j]);
       return;
-    case SearchKernel::kPrefetch:
-      for (std::size_t j = 0; j < queries.size(); ++j)
-        out[j] = prefetch_upper_bound(sorted_keys, queries[j]);
-      return;
     case SearchKernel::kEytzinger:
       for (std::size_t j = 0; j < queries.size(); ++j)
         out[j] = eytzinger_upper_bound(*layout, queries[j]);
-      return;
-    case SearchKernel::kEytzingerPrefetch:
-      for (std::size_t j = 0; j < queries.size(); ++j)
-        out[j] = eytzinger_prefetch_upper_bound(*layout, queries[j]);
-      return;
-    case SearchKernel::kBatchedBranchless:
-      batched_branchless_upper_bound(sorted_keys, queries, out, width);
       return;
     case SearchKernel::kBatchedEytzinger:
       batched_eytzinger_upper_bound(*layout, queries, out, width);

@@ -13,12 +13,16 @@
 //  * the 16 great-great-grandchildren of node k occupy slots
 //    [16k, 16k+15] — exactly one 64-byte line of 4-byte keys when the
 //    array is 64-byte aligned — so a single prefetch issued at node k
-//    covers the next FOUR levels of the descent.
+//    covers the next FOUR levels of the descent. The batched kernel in
+//    batched_search.hpp issues it for every lane. The scalar descent
+//    below goes without: on a resident partition the prefetch only
+//    costs issue slots, and past L2 the batched kernel beats a
+//    prefetching scalar descent several times over.
 //
 // The descent itself is branch-free: k = 2k + (e[k] <= q) per level,
 // then the trailing-one cancellation recovers the last left turn, which
 // is the upper_bound element. A parallel rank table maps the final slot
-// back to the sorted position, so every kernel here returns exactly
+// back to the sorted position, so every descent returns exactly
 // std::upper_bound's answer (duplicates included — the proof only needs
 // the inorder labeling to be sorted, not unique).
 //
@@ -80,9 +84,10 @@ class EytzingerLayout {
   std::vector<rank_t> ranks_{0};
 };
 
-/// How many levels ahead the eytzinger kernels prefetch: 16 descendants
-/// of slot k live in slots [k<<4, (k<<4)+15] — one aligned line.
-inline constexpr unsigned kEytzingerPrefetchLevels = 4;
+/// How many levels ahead the batched eytzinger kernel prefetches: 16
+/// descendants of slot k live in slots [k<<4, (k<<4)+15] — one aligned
+/// line.
+inline constexpr unsigned kEytzingerLookaheadLevels = 4;
 
 /// First sorted position whose key is > q — exactly std::upper_bound's
 /// answer — via the branch-free BFS descent.
@@ -94,25 +99,6 @@ inline rank_t eytzinger_upper_bound(const EytzingerLayout& layout, key_t q) {
   // Cancel the trailing right turns: what remains is the slot of the
   // last left turn (the smallest element > q), or 0 when there was none
   // (every element <= q; rank_of_slot(0) holds n).
-  k >>= std::countr_one(k) + 1;
-  return layout.rank_of_slot(k);
-}
-
-/// Same descent, prefetching the one line holding all descendants four
-/// levels down. The deep levels of an out-of-L2 partition are always
-/// misses; issuing the line fetch four rounds early hides most of it.
-inline rank_t eytzinger_prefetch_upper_bound(const EytzingerLayout& layout,
-                                             key_t q) {
-  const key_t* e = layout.slots();
-  const std::size_t n = layout.size();
-  std::size_t k = 1;
-  while (k <= n) {
-#if defined(__GNUC__) || defined(__clang__)
-    // Past-the-end addresses are fine: prefetch is a hint, never a fault.
-    __builtin_prefetch(e + (k << kEytzingerPrefetchLevels), 0, 1);
-#endif
-    k = 2 * k + (e[k] <= q);
-  }
   k >>= std::countr_one(k) + 1;
   return layout.rank_of_slot(k);
 }

@@ -6,19 +6,20 @@
 // partition outgrows L2 the memory system takes over instead: every
 // probe is a dependent cache miss, and the only way to go faster is to
 // overlap misses (memory-level parallelism). The kernel menu below
-// covers both regimes; all entries are exact drop-in replacements for
+// keeps one kernel per regime that wins somewhere measured
+// (bench_kernels); all entries are exact drop-in replacements for
 // std::upper_bound:
 //
-//  * branchless_upper_bound — conditional-move "halving" search; the
-//    compiler emits cmov, the pipeline never flushes.
-//  * prefetch_upper_bound  — branchless + software prefetch of both
-//    possible next probe lines; helps once the partition outgrows L2
-//    (the regime Method A lives in and C-3 avoids).
-//  * eytzinger kernels (eytzinger.hpp) — the BFS layout puts a node's
-//    children adjacent, so one prefetch grabs four levels of descent.
-//  * interleaved batch kernels (batched_search.hpp) — advance W
-//    independent searches in lockstep so W cache misses are in flight
-//    at once instead of serializing.
+//  * branchless_upper_bound — conditional-move "halving" search over
+//    the sorted copy; the compiler emits cmov, the pipeline never
+//    flushes, and no second key copy is needed.
+//  * eytzinger_upper_bound (eytzinger.hpp) — the BFS layout packs the
+//    hot top levels into a few resident lines: the fastest kernel while
+//    a partition stays cache-resident.
+//  * batched_eytzinger_upper_bound (batched_search.hpp) — advance W
+//    independent BFS descents in lockstep so W cache misses are in
+//    flight at once instead of serializing: the fastest kernel once a
+//    partition outgrows L2.
 //
 // These are native-only (no probe instrumentation): the simulator charges
 // comparisons via the machine's hot_compare constant, which already
@@ -31,23 +32,22 @@
 #include <span>
 #include <string>
 
+#include "src/util/assert.hpp"
 #include "src/util/types.hpp"
 
 namespace dici::index {
 
 /// Which exact upper_bound kernel a native slave runs on its shard. All
 /// of them return identical ranks for identical inputs; they differ only
-/// in speed. The kStd/kBranchless/kPrefetch trio works a sorted array
-/// one query at a time; the kEytzinger pair works the BFS-reordered copy
-/// (eytzinger.hpp); the kBatched pair interleaves W queries in lockstep
-/// over the respective layout (batched_search.hpp).
+/// in speed. kStdUpperBound (the reference the tests compare against)
+/// and kBranchless work the sorted array one query at a time;
+/// kEytzinger works the BFS-reordered copy (eytzinger.hpp);
+/// kBatchedEytzinger interleaves W queries in lockstep over that copy
+/// (batched_search.hpp).
 enum class SearchKernel {
   kStdUpperBound,
   kBranchless,
-  kPrefetch,
   kEytzinger,
-  kEytzingerPrefetch,
-  kBatchedBranchless,
   kBatchedEytzinger,
 };
 
@@ -56,10 +56,10 @@ enum class SearchKernel {
 /// built alongside it when an eytzinger kernel is configured.
 enum class KeyLayout { kSorted, kEytzinger };
 
-inline constexpr std::array<SearchKernel, 7> kAllSearchKernels = {
-    SearchKernel::kStdUpperBound,     SearchKernel::kBranchless,
-    SearchKernel::kPrefetch,          SearchKernel::kEytzinger,
-    SearchKernel::kEytzingerPrefetch, SearchKernel::kBatchedBranchless,
+inline constexpr std::array<SearchKernel, 4> kAllSearchKernels = {
+    SearchKernel::kStdUpperBound,
+    SearchKernel::kBranchless,
+    SearchKernel::kEytzinger,
     SearchKernel::kBatchedEytzinger,
 };
 
@@ -74,10 +74,7 @@ constexpr bool search_kernel_valid(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kStdUpperBound:
     case SearchKernel::kBranchless:
-    case SearchKernel::kPrefetch:
     case SearchKernel::kEytzinger:
-    case SearchKernel::kEytzingerPrefetch:
-    case SearchKernel::kBatchedBranchless:
     case SearchKernel::kBatchedEytzinger:
       return true;
   }
@@ -88,10 +85,7 @@ constexpr const char* search_kernel_name(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kStdUpperBound: return "std-upper-bound";
     case SearchKernel::kBranchless: return "branchless";
-    case SearchKernel::kPrefetch: return "prefetch";
     case SearchKernel::kEytzinger: return "eytzinger";
-    case SearchKernel::kEytzingerPrefetch: return "eytzinger-prefetch";
-    case SearchKernel::kBatchedBranchless: return "batched-branchless";
     case SearchKernel::kBatchedEytzinger: return "batched-eytzinger";
   }
   return "?";
@@ -100,7 +94,6 @@ constexpr const char* search_kernel_name(SearchKernel kernel) {
 constexpr KeyLayout kernel_layout(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kEytzinger:
-    case SearchKernel::kEytzingerPrefetch:
     case SearchKernel::kBatchedEytzinger:
       return KeyLayout::kEytzinger;
     default:
@@ -116,19 +109,13 @@ constexpr const char* key_layout_name(KeyLayout layout) {
   return "?";
 }
 
-/// True for the kernels that advance several queries in lockstep (and
-/// therefore only pay off on whole batches, not single probes).
-constexpr bool kernel_is_batched(SearchKernel kernel) {
-  return kernel == SearchKernel::kBatchedBranchless ||
-         kernel == SearchKernel::kBatchedEytzinger;
-}
-
-/// Hard cap on the interleave width of the batched kernels: past ~16
+/// Hard cap on the interleave width of the batched kernel: past ~16
 /// the core's miss queue is full and extra lanes only spill registers.
 inline constexpr std::uint32_t kMaxInterleave = 32;
 
-/// Default W. 16 in-flight lines matches the L1 miss-queue depth of
-/// current x86 cores; 8 loses little, 32 gains nothing.
+/// The W every engine runs. 16 in-flight lines matches the L1
+/// miss-queue depth of current x86 cores; 8 loses little, 32 gains
+/// nothing.
 inline constexpr std::uint32_t kDefaultInterleave = 16;
 
 /// Parse the search_kernel_name spelling; returns false on anything else.
@@ -140,6 +127,22 @@ inline bool parse_search_kernel(const std::string& name, SearchKernel* out) {
     }
   }
   return false;
+}
+
+/// The valid search_kernel_name spellings, for diagnostics and CLI help.
+inline constexpr const char* kSearchKernelChoices =
+    "std-upper-bound|branchless|eytzinger|batched-eytzinger";
+
+/// Parse or abort with a field+value diagnostic enumerating the valid
+/// set — the CLI twin of net::transport_from_flag, for surfaces where an
+/// unknown kernel is a caller bug, not a recoverable condition.
+inline SearchKernel search_kernel_from_flag(const std::string& text,
+                                            const char* field) {
+  SearchKernel kernel = SearchKernel::kBranchless;
+  DICI_CHECK_FMT(parse_search_kernel(text, &kernel),
+                 "%s = \"%s\" is not a search kernel (want %s)", field,
+                 text.c_str(), kSearchKernelChoices);
+  return kernel;
 }
 
 /// Index of the first element > q, computed without data-dependent
@@ -154,27 +157,6 @@ inline rank_t branchless_upper_bound(std::span<const key_t> keys, key_t q) {
     n -= half;
   }
   // One element left; account for it, and for the empty-input case.
-  const std::size_t pos =
-      static_cast<std::size_t>(base - keys.data()) +
-      (n == 1 && *base <= q ? 1 : 0);
-  return static_cast<rank_t>(pos);
-}
-
-/// Branchless search with software prefetch two levels ahead. Identical
-/// results; faster when the array misses in cache.
-inline rank_t prefetch_upper_bound(std::span<const key_t> keys, key_t q) {
-  const key_t* base = keys.data();
-  std::size_t n = keys.size();
-  while (n > 1) {
-    const std::size_t half = n / 2;
-#if defined(__GNUC__) || defined(__clang__)
-    // Both candidate midpoints of the *next* iteration.
-    __builtin_prefetch(base + half / 2, 0, 1);
-    __builtin_prefetch(base + half + (n - half) / 2, 0, 1);
-#endif
-    base = (base[half - 1] <= q) ? base + half : base;
-    n -= half;
-  }
   const std::size_t pos =
       static_cast<std::size_t>(base - keys.data()) +
       (n == 1 && *base <= q ? 1 : 0);

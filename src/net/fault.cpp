@@ -328,9 +328,8 @@ SendStats FaultInjectingEndpoint::send_stats() const {
 }
 
 FaultyPair make_faulty_transport_pair(TransportKind kind,
-                                      const FaultConfig& config,
-                                      std::size_t ring_frames) {
-  auto [coordinator_end, node_end] = make_transport_pair(kind, ring_frames);
+                                      const FaultConfig& config) {
+  auto [coordinator_end, node_end] = make_transport_pair(kind);
   auto controller = std::make_shared<FaultController>();
   if (config.armed) controller->arm();
   std::uint64_t state = config.seed;

@@ -175,7 +175,6 @@ struct FaultyPair {
 };
 
 FaultyPair make_faulty_transport_pair(TransportKind kind,
-                                      const FaultConfig& config,
-                                      std::size_t ring_frames = 1024);
+                                      const FaultConfig& config);
 
 }  // namespace dici::net

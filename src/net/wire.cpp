@@ -359,7 +359,6 @@ bool decode_heartbeat(const Frame& frame, HeartbeatMsg* msg,
 Frame encode_node_config(std::uint32_t src, const NodeConfigMsg& msg) {
   std::vector<std::uint8_t> payload;
   payload.push_back(msg.kernel);
-  put_u32(payload, msg.interleave_width);
   put_u32(payload, msg.heartbeat_interval_ms);
   put_u32(payload, msg.num_nodes);
   return make_frame(src, MsgType::kNodeConfig, std::move(payload));
@@ -370,7 +369,6 @@ bool decode_node_config(const Frame& frame, NodeConfigMsg* msg,
   if (!check_frame(frame, MsgType::kNodeConfig, error)) return false;
   Reader reader(frame.payload);
   reader.read_u8(&msg->kernel);
-  reader.read_u32(&msg->interleave_width);
   reader.read_u32(&msg->heartbeat_interval_ms);
   reader.read_u32(&msg->num_nodes);
   return finish(reader, MsgType::kNodeConfig, error);

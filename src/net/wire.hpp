@@ -35,10 +35,10 @@
 //   control  — kJoinRequest/kJoinAck (the join handshake),
 //              kNodeConfig (the coordinator's bootstrap config: a
 //              freshly exec'd dici_node process learns its kernel,
-//              interleave width, heartbeat cadence, and cluster size
-//              from this frame rather than from argv or a shared
-//              struct — in-process nodes get the identical frame so
-//              both modes run one bootstrap path),
+//              heartbeat cadence, and cluster size from this frame
+//              rather than from argv or a shared struct — in-process
+//              nodes get the identical frame so both modes run one
+//              bootstrap path),
 //              kClusterInfo (the broadcast node table),
 //              kHeartbeat, kShutdown
 //   build    — kBuildShard (a shard replica's keys scattered to its
@@ -183,7 +183,6 @@ struct HeartbeatMsg {
 /// the node validates it against the kernel menu before building.
 struct NodeConfigMsg {
   std::uint8_t kernel = 0;
-  std::uint32_t interleave_width = 0;
   std::uint32_t heartbeat_interval_ms = 0;
   std::uint32_t num_nodes = 0;
 };

@@ -85,18 +85,40 @@ TEST(Topology, MakeTopologySwitchesOnNodeCount) {
 
 TEST(Topology, NodePinningIsBestEffort) {
   const Topology topo = simulated_topology(2);
-  std::thread t([&] {
-    const bool ok0 = pin_current_thread_to_node(topo, 0);
-    const bool ok1 = pin_current_thread_to_node(topo, 1);
+  // Each node from a fresh thread: pinning intersects with the thread's
+  // current mask, so only an unconfined thread can land on either node.
+  for (std::uint32_t node = 0; node < topo.nodes(); ++node) {
+    std::thread t([&] {
+      const bool ok = pin_current_thread_to_node(topo, node);
 #if defined(__linux__)
-    EXPECT_TRUE(ok0);
-    EXPECT_TRUE(ok1);
+      EXPECT_TRUE(ok) << "node " << node;
 #else
-    (void)ok0;
-    (void)ok1;
+      (void)ok;
 #endif
-    // Out-of-range nodes fail cleanly instead of widening the mask.
-    EXPECT_FALSE(pin_current_thread_to_node(topo, topo.nodes()));
+      // Out-of-range nodes fail cleanly instead of widening the mask.
+      EXPECT_FALSE(pin_current_thread_to_node(topo, topo.nodes()));
+    });
+    t.join();
+  }
+}
+
+TEST(Topology, NodePinningNeverWidensAConfinedThread) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "thread pinning is Linux-only";
+#endif
+  const Topology topo = simulated_topology(2);
+  const auto& node0 = topo.cpus_of(0);
+  const auto& node1 = topo.cpus_of(1);
+  if (std::find_first_of(node0.begin(), node0.end(), node1.begin(),
+                         node1.end()) != node0.end())
+    GTEST_SKIP() << "the two simulated nodes share a CPU on this host";
+  std::thread t([&] {
+    ASSERT_TRUE(pin_current_thread_to_node(topo, 0));
+    const std::set<int> confined = allowed_set();
+    // Node 1's CPUs all lie outside the node-0 mask: the re-pin fails
+    // and leaves the mask as it was.
+    EXPECT_FALSE(pin_current_thread_to_node(topo, 1));
+    EXPECT_EQ(allowed_set(), confined);
   });
   t.join();
 }

@@ -2,14 +2,20 @@
 // must agree bit-for-bit with std::upper_bound, like the simulator.
 #include <gtest/gtest.h>
 
+#include "src/arch/topology.hpp"
 #include "src/core/distributed_index.hpp"
 #include "src/core/native_engine.hpp"
+#include "src/util/affinity.hpp"
 #include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/workload.hpp"
 
 namespace dici::core {
 namespace {
+
+// Read before any test runs, so a test that leaks a pin into the main
+// thread cannot hide the leak from the affinity test below.
+const std::vector<int> kStartupCpus = allowed_cpus();
 
 struct Fixture {
   std::vector<key_t> keys;
@@ -43,7 +49,7 @@ TEST_P(NativeMethodParam, ExactResults) {
   for (std::size_t i = 0; i < ranks.size(); ++i)
     ASSERT_EQ(ranks[i], fx.expected[i]) << "query index " << i;
   EXPECT_EQ(report.num_queries, fx.queries.size());
-  EXPECT_GT(report.seconds, 0.0);
+  EXPECT_GT(report.seconds(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, NativeMethodParam,
@@ -56,6 +62,23 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, NativeMethodParam,
                                    n.end());
                            return n;
                          });
+
+TEST(NativeCluster, LeavesCallerAffinityUntouched) {
+  if (kStartupCpus.size() < 2)
+    GTEST_SKIP() << "one allowed CPU: a leaked pin would be invisible";
+  ExperimentConfig cfg;
+  cfg.method = Method::kC3;
+  cfg.machine = arch::modern_cluster();
+  cfg.num_nodes = 3;
+  const auto& fx = fixture();
+  std::vector<rank_t> ranks;
+  make_engine(Backend::kNative, cfg)->run(fx.keys, fx.queries, &ranks);
+  EXPECT_EQ(ranks, fx.expected);
+  // The run pinned only threads it spawned: this thread keeps its mask,
+  // so a fleet built here afterwards still spreads over every CPU.
+  EXPECT_EQ(allowed_cpus(), kStartupCpus);
+  EXPECT_EQ(arch::make_topology(0).total_cpus(), kStartupCpus.size());
+}
 
 TEST(NativeCluster, SingleSlave) {
   const auto& fx = fixture();

@@ -71,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0u, 1u, 3u, 16u),     // shard counts; 0 = threads
         ::testing::Values(SearchKernel::kStdUpperBound,
                           SearchKernel::kBranchless,
-                          SearchKernel::kPrefetch)),
+                          SearchKernel::kEytzinger)),
     [](const auto& info) {
       std::string name = "t" + std::to_string(std::get<0>(info.param)) +
                          "_s" + std::to_string(std::get<1>(info.param)) + "_";

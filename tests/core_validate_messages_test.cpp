@@ -124,15 +124,6 @@ TEST_F(ValidateDeath, ParallelKernelKnobsNameFieldAndValue) {
   ParallelConfig bad_kernel;
   bad_kernel.kernel = static_cast<SearchKernel>(9);
   EXPECT_DEATH(ParallelNativeEngine{bad_kernel}, "kernel = 9");
-  ParallelConfig narrow;
-  narrow.interleave_width = 1;
-  EXPECT_DEATH(ParallelNativeEngine{narrow}, "interleave_width = 1");
-  ParallelConfig wide;
-  wide.interleave_width = 64;
-  EXPECT_DEATH(ParallelNativeEngine{wide}, "interleave_width = 64");
-  ParallelConfig no_ring;
-  no_ring.ring_slots = 0;
-  EXPECT_DEATH(ParallelNativeEngine{no_ring}, "ring_slots = 0");
 }
 
 TEST_F(ValidateDeath, BadPlacementEnumNamesFieldAndValue) {
@@ -153,9 +144,6 @@ TEST_F(ValidateDeath, ParallelNumaKnobsNameFieldAndValue) {
   ParallelConfig too_many_nodes;
   too_many_nodes.numa_nodes = 5000;
   EXPECT_DEATH(ParallelNativeEngine{too_many_nodes}, "numa_nodes = 5000");
-  ParallelConfig no_threshold;
-  no_threshold.steal_threshold = 0;
-  EXPECT_DEATH(ParallelNativeEngine{no_threshold}, "steal_threshold = 0");
 }
 
 TEST_F(ValidateDeath, WritePathKnobsNameFieldAndValue) {
@@ -223,6 +211,21 @@ TEST(ValidateAccepts, EveryTransportFlagParses) {
             net::TransportKind::kFork);
   EXPECT_EQ(net::transport_from_flag("tcp", "--transport"),
             net::TransportKind::kTcp);
+}
+
+TEST_F(ValidateDeath, BadKernelFlagNamesValueAndChoices) {
+  // The --kernels parse: a kernel that left the menu dies naming the
+  // VALUE and the kernels that remain.
+  EXPECT_DEATH(search_kernel_from_flag("prefetch", "--kernels"),
+               "--kernels = \"prefetch\" is not a search kernel "
+               "\\(want std-upper-bound\\|branchless\\|eytzinger\\|"
+               "batched-eytzinger\\)");
+}
+
+TEST(ValidateAccepts, EveryKernelFlagParses) {
+  for (const SearchKernel kernel : all_search_kernels())
+    EXPECT_EQ(search_kernel_from_flag(search_kernel_name(kernel), "--kernels"),
+              kernel);
 }
 
 // The messages gate configs the same way through make_engine, whatever

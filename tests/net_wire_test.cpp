@@ -148,15 +148,14 @@ TEST(Wire, EveryMessageTypeRoundTrips) {
   {
     NodeConfigMsg msg;
     msg.kernel = 2;
-    msg.interleave_width = 8;
     msg.heartbeat_interval_ms = 15;
     msg.num_nodes = 6;
     const Frame f = encode_node_config(kCoordinatorId, msg);
     EXPECT_EQ(f.header.msg_type(), MsgType::kNodeConfig);
     NodeConfigMsg m;
     ASSERT_TRUE(decode_node_config(f, &m, &error)) << error;
+    EXPECT_EQ(f.payload.size(), 9u);  // kernel byte + two u32 fields
     EXPECT_EQ(m.kernel, 2);
-    EXPECT_EQ(m.interleave_width, 8u);
     EXPECT_EQ(m.heartbeat_interval_ms, 15u);
     EXPECT_EQ(m.num_nodes, 6u);
   }
@@ -179,6 +178,17 @@ TEST(Wire, NodeConfigRejectsTruncationAndTrailingBytes) {
     Frame f = encode_node_config(kCoordinatorId, msg);
     f.payload.push_back(0xcd);  // stray byte after a valid message
     f.header.payload_bytes = static_cast<std::uint32_t>(f.payload.size());
+    NodeConfigMsg out;
+    EXPECT_FALSE(decode_node_config(f, &out, &error));
+    EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  }
+  {
+    // The older 13-byte layout, which carried an interleave width after
+    // the kernel byte, is rejected rather than misread.
+    Frame f = encode_node_config(kCoordinatorId, msg);
+    f.payload.insert(f.payload.begin() + 1, {16, 0, 0, 0});
+    f.header.payload_bytes = static_cast<std::uint32_t>(f.payload.size());
+    ASSERT_EQ(f.payload.size(), 13u);
     NodeConfigMsg out;
     EXPECT_FALSE(decode_node_config(f, &out, &error));
     EXPECT_NE(error.find("trailing"), std::string::npos) << error;
