@@ -143,11 +143,10 @@ void BM_BatchedEytzinger(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedEytzinger)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
 
-// End-to-end Method C-3 through the unified Engine seam: the same
-// ExperimentConfig drives the one-queue-per-slave NativeCluster and the
-// sharded ParallelNativeEngine, so the two backends are compared on
-// identical footing (bench_parallel_scaling sweeps the curve in depth).
-template <core::Backend B>
+// End-to-end Method C-3 through the unified Engine seam on
+// ParallelNativeEngine: each iteration builds the index (worker spawn
+// included), serves one batch and tears it down
+// (bench_parallel_scaling sweeps the curve in depth).
 void BM_EngineC3EndToEnd(benchmark::State& state) {
   const auto& d = data(1 << 20);
   core::ExperimentConfig cfg;
@@ -155,7 +154,7 @@ void BM_EngineC3EndToEnd(benchmark::State& state) {
   cfg.machine = arch::pentium3_cluster();
   cfg.num_nodes = static_cast<std::uint32_t>(state.range(0));
   cfg.batch_bytes = 64 * 1024;
-  const auto engine = core::make_engine(B, cfg);
+  const auto engine = core::make_engine(core::Backend::kParallelNative, cfg);
   for (auto _ : state) {
     const auto report = engine->run(d.keys, d.queries, nullptr);
     benchmark::DoNotOptimize(report.makespan);
@@ -163,10 +162,8 @@ void BM_EngineC3EndToEnd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(d.queries.size()));
 }
-BENCHMARK(BM_EngineC3EndToEnd<core::Backend::kNative>)->Arg(2)->Arg(3)->Arg(5)
+BENCHMARK(BM_EngineC3EndToEnd)->Arg(2)->Arg(3)->Arg(5)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineC3EndToEnd<core::Backend::kParallelNative>)
-    ->Arg(2)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_RoutePartitioner(benchmark::State& state) {
   const auto& d = data(1 << 20);

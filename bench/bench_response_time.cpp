@@ -160,8 +160,7 @@ int main(int argc, char** argv) {
 
   std::vector<BackendCurve> curves;
   for (const core::Backend backend :
-       {core::Backend::kSim, core::Backend::kNative,
-        core::Backend::kParallelNative}) {
+       {core::Backend::kSim, core::Backend::kParallelNative}) {
     BackendCurve curve;
     curve.backend = core::backend_name(backend);
     const auto engine = core::make_engine(backend, cfg);

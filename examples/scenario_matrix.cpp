@@ -37,30 +37,13 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return names;
 }
 
-bool parse_backends(const std::string& csv,
-                    std::vector<core::Backend>* out) {
-  out->clear();
-  if (csv == "all") {
-    *out = {core::Backend::kSim, core::Backend::kNative,
-            core::Backend::kParallelNative, core::Backend::kCluster};
-    return true;
-  }
-  for (const std::string& name : split_csv(csv)) {
-    bool known = false;
-    for (const core::Backend b :
-         {core::Backend::kSim, core::Backend::kNative,
-          core::Backend::kParallelNative, core::Backend::kCluster}) {
-      if (name == core::backend_name(b)) {
-        out->push_back(b);
-        known = true;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
-      return false;
-    }
-  }
-  return !out->empty();
+std::vector<core::Backend> parse_backends(const std::string& csv) {
+  if (csv == "all")
+    return {core::kAllBackends.begin(), core::kAllBackends.end()};
+  std::vector<core::Backend> backends;
+  for (const std::string& name : split_csv(csv))
+    backends.push_back(core::backend_from_flag(name, "--backends"));
+  return backends;
 }
 
 std::vector<core::SearchKernel> parse_kernels(const std::string& csv) {
@@ -118,8 +101,8 @@ int main(int argc, char** argv) {
               "'sec' column sums overlapping makespans)", 1);
   cli.add_bytes("batch", "dispatcher round size", 8 * KiB);
   cli.add_int("nodes", "cluster size (1 master + slaves)", 5);
-  cli.add_string("backends", "comma list of "
-                 "sim|native|parallel-native|cluster, or 'all'", "all");
+  cli.add_string("backends", std::string("comma list of ") +
+                 core::kBackendChoices + ", or 'all'", "all");
   cli.add_string("transport", "frame transport for cluster cells: "
                  "ring|socket|fork|tcp (fork/tcp spawn real dici_node "
                  "processes)", "ring");
@@ -160,8 +143,7 @@ int main(int argc, char** argv) {
   options.verify = !cli.get_flag("no-verify");
   options.in_flight = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("in-flight")));
-  if (!parse_backends(cli.get_string("backends"), &options.backends))
-    return 2;
+  options.backends = parse_backends(cli.get_string("backends"));
   options.kernels = parse_kernels(cli.get_string("kernels"));
   if (!parse_placements(cli.get_string("placements"), &options.placements))
     return 2;
@@ -198,7 +180,7 @@ int main(int argc, char** argv) {
   }
   t.print();
   std::printf("\n  'sec' is virtual time for the sim backend and wall time "
-              "for the native ones.\n");
+              "for the others.\n");
 
   const std::string json = workload::matrix_to_json(cells);
   const std::string json_path = cli.get_string("json");

@@ -119,13 +119,6 @@ constexpr std::size_t kBuildChunkKeys = 1u << 20;
 /// failed_node sentinel: no failure recorded / no routable node.
 constexpr std::uint32_t kNoFailure = 0xffffffffu;
 
-std::uint32_t clamped_shards(const ClusterConfig& config, std::size_t n) {
-  const std::uint32_t want =
-      config.num_shards == 0 ? config.num_nodes : config.num_shards;
-  return static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, std::min<std::size_t>(want, n)));
-}
-
 /// Index-lifetime recovery accounting: re-join events and their wall
 /// time. Held by shared_ptr so a Completion can harvest (exchange-to-
 /// zero) after the index itself is gone; RunReport::merge adds, so
@@ -180,8 +173,8 @@ struct ClusterSubmission {
 
   /// Coordinator-side delta fold: nodes resolve base ranks only; the
   /// live-set correction is a post-pass in await() over the scattered
-  /// results, exactly like NativeClient. query_copy holds the queries
-  /// (in id order) because the caller's span dies with submit().
+  /// results. query_copy holds the queries (in id order) because the
+  /// caller's span dies with submit().
   std::shared_ptr<const index::DeltaSnapshot> delta;
   std::vector<key_t> query_copy;
 
@@ -266,7 +259,10 @@ class ClusterIndex : public Index {
   ClusterIndex(const ClusterConfig& config, std::span<const key_t> index_keys)
       : Index(index_keys),
         config_(config),
-        partitioner_(keys(), clamped_shards(config, keys().size())),
+        partitioner_(keys(), index::clamp_parts(config.num_shards == 0
+                                                    ? config.num_nodes
+                                                    : config.num_shards,
+                                                keys().size())),
         membership_(config.num_nodes),
         links_(config.num_nodes),
         ledger_(std::make_shared<RecoveryLedger>()) {

@@ -4,8 +4,8 @@
 // architecture ParallelNativeEngine runs over shared-memory rings, but
 // with the shared memory removed. build() scatters shard replicas to N
 // ClusterNode objects as serialized kBuildShard frames; submit() routes
-// a batch with the same dispatch_master_rounds loop every native
-// backend uses, but each per-shard message leaves the coordinator as a
+// a batch with the same dispatch_master_rounds loop parallel-native
+// uses, but each per-shard message leaves the coordinator as a
 // length-prefixed kQueryBatch frame on a net::Endpoint and its answers
 // come back as a kRankBatch frame that a per-node receiver thread
 // scatters into the caller's out_ranks by query id (the
@@ -48,10 +48,10 @@
 // re-shipped via chunked kBuildShard, then back into routing rotation.
 //
 // What stays coordinator-side: SubmitOptions::delta (rank corrections
-// are applied as a post-pass over the returned ranks, like
-// NativeClient, so the Store write path works unchanged and nodes stay
-// delta-oblivious) and per-query wall latency (submit stamp to
-// reply-arrival stamp, per-node Summary slots).
+// are applied as a post-pass over the returned ranks, so the Store
+// write path works unchanged and nodes stay delta-oblivious) and
+// per-query wall latency (submit stamp to reply-arrival stamp, per-node
+// Summary slots).
 #pragma once
 
 #include <memory>

@@ -1,18 +1,21 @@
-// The master's dispatch loop, shared by the threaded native engines.
+// The master's dispatch loop, shared by ParallelNativeEngine and the
+// cluster coordinator.
 //
 // kMasterRound semantics (the simulator's default): route each query to
 // a lane, stage it, and flush every non-empty staging buffer once
 // batch_bytes of the query stream has been ingested — plus a final
-// flush at end of stream. Keeping this in one place means NativeCluster
-// and ParallelNativeEngine cannot drift apart on batching behaviour.
+// flush at end of stream. Keeping this in one place means the threaded
+// and the message-passing backends cannot drift apart on batching
+// behaviour.
 //
 // Scope note, post batch-kernel migration: this file is the ROUTING
 // side of dispatch and it is per-query by nature — each query's shard
 // is its own upper_bound over the delimiters, there is no batch shape
 // to exploit before routing has created the batches. The RESOLUTION
 // side (what a slave does with a flushed DispatchBatch) lives in
-// index/batched_search.hpp's resolve_batch, which both engines call on
-// whole messages; the old per-query run_kernel helpers died with it.
+// index/batched_search.hpp's resolve_batch, which parallel-native
+// workers and cluster nodes call on whole messages; the old per-query
+// run_kernel helpers died with it.
 #pragma once
 
 #include <algorithm>

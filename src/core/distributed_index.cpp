@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "src/core/parallel_engine.hpp"
 #include "src/index/sorted_array.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/bytes.hpp"
 
 namespace dici {
 
@@ -45,12 +45,11 @@ bool DistributedInCacheIndex::contains(key_t key) const {
 
 std::vector<rank_t> DistributedInCacheIndex::lookup_batch(
     std::span<const key_t> queries, std::uint64_t batch_bytes) const {
-  core::NativeConfig config;
-  config.method = core::Method::kC3;
-  config.num_nodes = partitions() + 1;
-  config.batch_bytes = batch_bytes ? batch_bytes : 64 * KiB;
+  core::ParallelConfig config;
+  config.num_threads = partitions();
+  if (batch_bytes != 0) config.batch_bytes = batch_bytes;
   std::vector<rank_t> ranks;
-  core::NativeCluster(config).run(keys_, queries, &ranks);
+  core::ParallelNativeEngine(config).run(keys_, queries, &ranks);
   return ranks;
 }
 

@@ -1,9 +1,11 @@
-// DistributedInCacheIndex — the library's primary public API.
+// DistributedInCacheIndex — a small facade over one partitioned key set.
 //
 // Owns a sorted, de-duplicated key set, partitions it into cache-sized
-// ranges (one per "node"), and answers rank queries either directly, in
-// parallel over native threads (Method C-3's shape), or — via
-// SimCluster — on the simulated cluster for what-if studies.
+// ranges (one per "node"), and answers rank queries either directly on
+// the calling thread or in batches through ParallelNativeEngine, whose
+// worker threads each own one partition. Serving many batches, mutating
+// the keys, or running on the simulated cluster goes through the Engine
+// seam (core/engine.hpp) and core::Store instead.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -17,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "src/core/native_engine.hpp"
 #include "src/index/partitioner.hpp"
 #include "src/util/types.hpp"
 
@@ -49,9 +50,10 @@ class DistributedInCacheIndex {
   /// True iff `key` is present in the index.
   bool contains(key_t key) const;
 
-  /// Batched parallel lookup over master+slave threads (Method C-3's
-  /// dataflow). `batch_bytes` is the dispatch granularity; 0 picks a
-  /// default. Results are in query order.
+  /// Batched parallel lookup: a ParallelNativeEngine with one worker
+  /// thread per partition is built over these keys, serves `queries`,
+  /// and is torn down. `batch_bytes` is the dispatch granularity; 0
+  /// picks a default. Results are in query order.
   std::vector<rank_t> lookup_batch(std::span<const key_t> queries,
                                    std::uint64_t batch_bytes = 0) const;
 

@@ -1,10 +1,10 @@
 #include "src/core/engine.hpp"
 
+#include <algorithm>
+
 #include "src/cluster/cluster_engine.hpp"
-#include "src/core/native_engine.hpp"
 #include "src/core/parallel_engine.hpp"
 #include "src/core/sim_engine.hpp"
-#include "src/index/delta.hpp"
 #include "src/util/assert.hpp"
 
 namespace dici::core {
@@ -210,119 +210,31 @@ void check_native_supported(const ExperimentConfig& config) {
                  flush_policy_name(config.flush_policy));
 }
 
-NativeConfig native_config_from(const ExperimentConfig& config) {
-  validate(config);
-  check_native_supported(config);
-  DICI_CHECK_FMT(!is_distributed(config.method) || config.num_masters == 1,
-                 "ExperimentConfig::num_masters = %u: native backends "
-                 "implement a single master; multi-master is simulator-only "
-                 "for now",
-                 config.num_masters);
-  NativeConfig native;
-  native.method = config.method;
-  native.num_nodes = config.num_nodes;
-  native.batch_bytes = config.batch_bytes;
-  native.buffer_fraction = config.buffer_fraction;
-  native.kernel = config.kernel;
-  native.track_latency = config.track_latency;
-  return native;
-}
-
-// --- NativeEngine's v2 adapter --------------------------------------------
-
-namespace {
-
-class NativeIndex;
-
-/// NativeCluster resolves each submission synchronously on its own
-/// thread fleet (it builds per-method structures inside run(), so there
-/// is no warm state to pipeline through — ParallelNativeEngine is the
-/// backend with a true async pipeline). Many clients may still share
-/// one NativeIndex: NativeCluster::run is const and self-contained.
-class NativeClient : public Client {
- public:
-  NativeClient(std::shared_ptr<const Index> index, const NativeCluster* cluster)
-      : Client(std::move(index)), cluster_(cluster) {}
-
-  const char* backend() const override {
-    return backend_name(Backend::kNative);
-  }
-
- private:
-  std::unique_ptr<Completion> do_submit(
-      std::span<const key_t> queries, std::vector<rank_t>* out_ranks,
-      const SubmitOptions& options) override {
-    RunReport report = cluster_->run(index().keys(), queries, out_ranks);
-    // Delta merge: NativeCluster resolves against the base only, so the
-    // live-set correction is a post-pass over the (already in-cache)
-    // result array — the delta itself is small enough to stay L1/L2
-    // resident across the batch.
-    if (options.delta != nullptr && out_ranks != nullptr)
-      options.delta->correct(queries, out_ranks->data());
-    if (cluster_->config().track_latency) {
-      // NativeCluster resolves the whole submission synchronously, so
-      // the finest wall-clock granularity it has is the batch: every
-      // query is charged the full submit->return wall time (the Method
-      // B reading — a batch's queries wait for the whole pass), plus
-      // whatever wait it brought along from the caller's batcher queue.
-      // ParallelNativeEngine is the backend with true per-message
-      // completion stamps.
-      const double batch_ns = report.seconds() * 1e9;
-      if (options.queued_ns.empty()) {
-        report.latency_ns.add_n(batch_ns, report.num_queries);
-      } else {
-        for (const double q : options.queued_ns)
-          report.latency_ns.add(batch_ns + q);
-      }
-    }
-    return std::make_unique<ImmediateCompletion>(std::move(report));
-  }
-
-  const NativeCluster* cluster_;  // owned by the NativeIndex
-};
-
-class NativeIndex : public Index {
- public:
-  NativeIndex(const NativeConfig& config, std::span<const key_t> index_keys)
-      : Index(index_keys), cluster_(config) {}
-
-  const char* backend() const override {
-    return backend_name(Backend::kNative);
-  }
-
- private:
-  std::unique_ptr<Client> do_connect(
-      std::shared_ptr<const Index> self) const override {
-    return std::make_unique<NativeClient>(std::move(self), &cluster_);
-  }
-
-  NativeCluster cluster_;
-};
-
-}  // namespace
-
-std::shared_ptr<const Index> NativeEngine::build(
-    std::span<const key_t> index_keys) const {
-  return std::make_shared<const NativeIndex>(cluster_.config(), index_keys);
-}
-
 // --- Factory --------------------------------------------------------------
 
 const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kSim: return "sim";
-    case Backend::kNative: return "native";
     case Backend::kParallelNative: return "parallel-native";
     case Backend::kCluster: return "cluster";
   }
   return "?";
 }
 
+Backend backend_from_flag(const std::string& text, const char* field) {
+  const auto found = std::find_if(
+      kAllBackends.begin(), kAllBackends.end(),
+      [&](Backend backend) { return text == backend_name(backend); });
+  DICI_CHECK_FMT(found != kAllBackends.end(),
+                 "%s = \"%s\" is not a backend (want %s)", field,
+                 text.c_str(), kBackendChoices);
+  return *found;
+}
+
 std::unique_ptr<Engine> make_engine(Backend backend,
                                     const ExperimentConfig& config) {
   switch (backend) {
     case Backend::kSim: return std::make_unique<SimCluster>(config);
-    case Backend::kNative: return std::make_unique<NativeEngine>(config);
     case Backend::kParallelNative:
       return std::make_unique<ParallelNativeEngine>(config);
     case Backend::kCluster:

@@ -1,7 +1,7 @@
 // The unified backend seam, v2: every cluster implementation — the
-// discrete-event simulator (SimCluster), the threaded native engine
-// (NativeEngine over NativeCluster), and the sharded parallel engine
-// (ParallelNativeEngine) — answers one three-layer contract:
+// discrete-event simulator (SimCluster), the sharded parallel engine on
+// real threads (ParallelNativeEngine), and the message-passing cluster
+// (cluster::ClusterEngine) — answers one three-layer contract:
 //
 //   Engine::build(index_keys) -> std::shared_ptr<const Index>
 //   Index::connect()          -> std::unique_ptr<Client>
@@ -42,9 +42,11 @@
 // (base \ erased) ∪ inserted instead.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/config.hpp"
@@ -119,7 +121,7 @@ struct SubmitOptions {
   /// When non-empty, one entry per query: the wall-clock wait (ns) the
   /// query had ALREADY accrued before this submit — an adaptive
   /// batcher's queue time. Backends that measure wall-clock latency
-  /// (native, parallel-native) add it to each query's measured
+  /// (parallel-native, cluster) add it to each query's measured
   /// submit->resolve time so RunReport::latency_ns is the full
   /// arrival->resolve response time; the simulator ignores it (its
   /// arrival process lives in virtual time). Only read during the
@@ -253,7 +255,7 @@ class Client {
 };
 
 /// Completion for backends that resolve a submission synchronously
-/// inside do_submit (sim, native): the report is ready before submit
+/// inside do_submit (sim): the report is ready before submit
 /// returns, await just hands it over.
 class ImmediateCompletion : public Client::Completion {
  public:
@@ -290,14 +292,14 @@ class Engine {
   /// The scalar RunReport fields (makespan, messages, ...) are filled by
   /// every backend; RunReport::nodes is backend-dependent detail (the
   /// simulator reports one entry per simulated node — or the single
-  /// measured node for Methods A/B — ParallelNativeEngine reports
-  /// dispatcher + workers, NativeEngine none), so generic callers must
+  /// measured node for Methods A/B — ParallelNativeEngine and the
+  /// cluster report dispatcher + workers), so generic callers must
   /// size-check `nodes` rather than assume num_nodes entries.
   RunReport run(std::span<const key_t> index_keys,
                 std::span<const key_t> queries,
                 std::vector<rank_t>* out_ranks = nullptr) const;
 
-  /// Stable backend identifier ("sim", "native", "parallel-native").
+  /// Stable backend identifier ("sim", "parallel-native", "cluster").
   virtual const char* name() const = 0;
 };
 
@@ -316,9 +318,19 @@ void validate(const ExperimentConfig& config);
 /// backends in measured wall time.
 void check_native_supported(const ExperimentConfig& config);
 
-enum class Backend { kSim, kNative, kParallelNative, kCluster };
+enum class Backend { kSim, kParallelNative, kCluster };
+
+inline constexpr std::array<Backend, 3> kAllBackends = {
+    Backend::kSim, Backend::kParallelNative, Backend::kCluster};
 
 const char* backend_name(Backend backend);
+
+/// The valid backend_name spellings, for diagnostics and CLI help.
+inline constexpr const char* kBackendChoices = "sim|parallel-native|cluster";
+
+/// Parse a backend_name spelling or abort with a field+value diagnostic
+/// enumerating the valid set (the twin of search_kernel_from_flag).
+Backend backend_from_flag(const std::string& text, const char* field);
 
 /// Factory: the one switch benches and tests go through to pick a
 /// backend for a given experiment. kParallelNative and kCluster require

@@ -74,12 +74,6 @@ ParallelNativeEngine::ParallelNativeEngine(const ExperimentConfig& config)
 
 namespace {
 
-std::uint32_t clamped_shards(const ParallelConfig& config, std::size_t n) {
-  const std::uint32_t want =
-      config.num_shards == 0 ? config.num_threads : config.num_shards;
-  return static_cast<std::uint32_t>(std::min<std::size_t>(want, n));
-}
-
 /// How long an idle worker parks before re-checking its steal targets.
 /// Producers only wake a worker's OWN hub, so a stealing-enabled worker
 /// naps instead of sleeping. The nap starts short — a backlog on the
@@ -201,7 +195,10 @@ class ParallelIndex : public Index {
       : Index(index_keys),
         config_(config),
         topology_(arch::make_topology(config.numa_nodes)),
-        partitioner_(keys(), clamped_shards(config, keys().size())),
+        partitioner_(keys(), index::clamp_parts(config.num_shards == 0
+                                                    ? config.num_threads
+                                                    : config.num_shards,
+                                                keys().size())),
         placed_(config.placement,
                 kernel_layout(config.kernel) == KeyLayout::kEytzinger,
                 partitioner_, topology_.nodes()),

@@ -101,8 +101,8 @@ struct RunReport {
   ///
   /// Per-node detail: `nodes` layouts are backend-defined (the sim
   /// reports every simulated node, ParallelNativeEngine dispatcher +
-  /// workers, NativeEngine none), so element-wise addition is only
-  /// meaningful when both reports describe the same node set. The
+  /// workers, the cluster dispatcher + nodes), so element-wise addition
+  /// is only meaningful when both reports describe the same node set. The
   /// chosen — and defended — semantics for a size mismatch (e.g.
   /// reports from different backends, or a backend that changed shape
   /// mid-stream): the scalar totals above stay exact, and `nodes` is

@@ -230,8 +230,10 @@ RunReport SimCluster::run_distributed(std::span<const key_t> index_keys,
 
   // --- Slave state ----------------------------------------------------------
   // The partitions are defined once; each master replicates only the
-  // delimiters. Node ids: masters are 0..M-1, slave s is M+s.
-  const index::RangePartitioner partitioner(index_keys, S);
+  // delimiters. Node ids: masters are 0..M-1, slave s is M+s. Slave s
+  // owns partition s; with fewer keys than slaves the surplus idle.
+  const std::uint32_t P = index::clamp_parts(S, index_keys.size());
+  const index::RangePartitioner partitioner(index_keys, P);
   struct Slave {
     sim::AddressSpace space;
     std::unique_ptr<sim::MemoryProbe> probe;
@@ -251,6 +253,7 @@ RunReport SimCluster::run_distributed(std::span<const key_t> index_keys,
     sl.space = sim::AddressSpace(machine.l2.line_bytes);
     sl.probe =
         std::make_unique<sim::MemoryProbe>(machine, config_.pollute_streams);
+    if (s >= P) continue;
     sl.rank_offset = partitioner.start_of(s);
     const auto part = partitioner.keys_of(s);
     if (config_.method == Method::kC3) {
@@ -295,8 +298,8 @@ RunReport SimCluster::run_distributed(std::span<const key_t> index_keys,
     Master& ms = masters[m];
     ms.space = std::make_unique<sim::AddressSpace>(machine.l2.line_bytes);
     ms.delimiters = std::make_unique<index::RangePartitioner>(
-        index_keys, S,
-        ms.space->allocate(S > 1 ? (S - 1) * sizeof(key_t)
+        index_keys, P,
+        ms.space->allocate(P > 1 ? (P - 1) * sizeof(key_t)
                                  : sizeof(key_t)));
     ms.probe =
         std::make_unique<sim::MemoryProbe>(machine, config_.pollute_streams);

@@ -80,12 +80,11 @@ inline void batched_eytzinger_upper_bound(const EytzingerLayout& layout,
 
 /// Resolve one whole message against one partition with the configured
 /// kernel: the single probe seam shared by the parallel engine's worker
-/// loop, the cluster nodes and the native cluster's C-3 slaves. `layout`
-/// is required (and only consulted) for the eytzinger-layout kernels;
-/// `sorted_keys` is required for the sorted-layout ones. `width` is the
-/// batched kernel's W; the engines run the default, tests sweep it to
-/// exercise ragged lanes. Ranks land in `out` in query order, exactly
-/// std::upper_bound's answers.
+/// loop and the cluster nodes. `layout` is required (and only consulted)
+/// for the eytzinger-layout kernels; `sorted_keys` is required for the
+/// sorted-layout ones. `width` is the batched kernel's W; the engines
+/// run the default, tests sweep it to exercise ragged lanes. Ranks land
+/// in `out` in query order, exactly std::upper_bound's answers.
 inline void resolve_batch(SearchKernel kernel,
                           std::span<const key_t> sorted_keys,
                           const EytzingerLayout* layout,

@@ -6,6 +6,7 @@
 // and routes each query with a binary search over them.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -15,6 +16,17 @@
 #include "src/util/types.hpp"
 
 namespace dici::index {
+
+/// The partition count a fleet of `want` slaves can cut `num_keys` keys
+/// into: at most one partition per key, at least one. Slaves past the
+/// clamp stay idle, so an index smaller than its fleet (built tiny, or a
+/// Store erased down) still serves exact ranks. Every backend that
+/// range-partitions (the simulator, parallel-native, the cluster) cuts
+/// through this one rule.
+inline std::uint32_t clamp_parts(std::uint32_t want, std::size_t num_keys) {
+  return static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, std::min<std::size_t>(want, num_keys)));
+}
 
 class RangePartitioner {
  public:

@@ -1,8 +1,8 @@
-// Bounded lock-free SPSC ring + the per-worker hub that replaces the
-// mutex BlockingQueue on ParallelNativeEngine's submit path.
+// Bounded lock-free SPSC ring + the per-worker hub on
+// ParallelNativeEngine's submit path.
 //
 // The v2 API's steady state is many clients firing small batches at one
-// pinned worker fleet. With the mutex queue every work item costs a
+// pinned worker fleet. With a mutex queue every work item costs a
 // lock/unlock on the client thread and a lock/unlock + condvar wake on
 // the worker — per ITEM, in the regime where items are deliberately
 // small. The classic fix is the NIC design: one single-producer/
@@ -42,10 +42,6 @@
 // uncontended on its fast path and a thief only try-acquires — a busy
 // owner means there is nothing worth stealing anyway. Thieves never
 // park and never consume wakes.
-//
-// BlockingQueue survives for NativeCluster's one-shot runs, where a
-// whole run's items flow through the queue once and dispatch overhead
-// is noise; the hub is for the persistent fleet.
 #pragma once
 
 #include <atomic>

@@ -396,9 +396,17 @@ bool decode_build_shard(const Frame& frame, BuildShardMsg* msg,
   reader.read_u32(&msg->global_offset);
   reader.read_u32(&msg->chunk);
   reader.read_u8(&last);
-  msg->last = last != 0;
   reader.read_u32_array(&msg->keys);
-  return finish(reader, MsgType::kBuildShard, error);
+  if (!finish(reader, MsgType::kBuildShard, error)) return false;
+  // One spelling per message: a flag byte other than 0/1 would decode
+  // to a value that re-encodes differently.
+  if (last > 1) {
+    *error = "wire: build_shard last flag is " + std::to_string(last) +
+             ", must be 0 or 1";
+    return false;
+  }
+  msg->last = last != 0;
+  return true;
 }
 
 Frame encode_build_ack(std::uint32_t src, const BuildAckMsg& msg) {

@@ -164,20 +164,19 @@ struct ScenarioCell {
 };
 
 struct MatrixOptions {
-  std::vector<core::Backend> backends = {
-      core::Backend::kSim, core::Backend::kNative,
-      core::Backend::kParallelNative, core::Backend::kCluster};
+  std::vector<core::Backend> backends = {core::kAllBackends.begin(),
+                                         core::kAllBackends.end()};
   /// Check every rank of every batch against reference_ranks.
   bool verify = true;
-  /// Search kernels swept per backend (the kernel axis). The native
-  /// backends switch their C-3 slave code per kernel; the simulator's
+  /// Search kernels swept per backend (the kernel axis). Parallel-native
+  /// and the cluster switch their C-3 slave code per kernel; the simulator's
   /// cost model abstracts comparator behaviour, so its kernel cells
   /// verify that the answer is invariant, not that timing moves.
   std::vector<core::SearchKernel> kernels = {core::SearchKernel::kBranchless};
   /// Shard placements swept per kernel (the placement axis).
   /// Parallel-native lays shards out per NUMA node and the cluster
   /// backend assigns shard replicas to nodes, so those two sweep the
-  /// axis; the other backends run one cell (at the first placement)
+  /// axis; the simulator runs one cell (at the first placement)
   /// instead of duplicating identical runs. Every placement cell is
   /// rank-verified like any other, pinning the "placement moves bytes,
   /// never answers" invariant.

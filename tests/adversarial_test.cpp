@@ -2,7 +2,7 @@
 // when all the load lands on one partition, one leaf, or one key.
 #include <gtest/gtest.h>
 
-#include "src/core/native_engine.hpp"
+#include "src/core/parallel_engine.hpp"
 #include "src/core/sim_engine.hpp"
 #include "src/index/buffered.hpp"
 #include "src/util/bytes.hpp"
@@ -93,11 +93,10 @@ TEST(AdversarialNative, HotPartitionStillExact) {
   for (auto& q : queries)
     q = keys[rng.below(keys.size() / 8)];  // first partition only
   const auto expected = workload::reference_ranks(keys, queries);
-  core::NativeConfig cfg;
-  cfg.method = core::Method::kC3;
-  cfg.num_nodes = 9;
+  core::ParallelConfig cfg;
+  cfg.num_threads = 8;
   std::vector<rank_t> ranks;
-  core::NativeCluster(cfg).run(keys, queries, &ranks);
+  core::ParallelNativeEngine(cfg).run(keys, queries, &ranks);
   EXPECT_EQ(ranks, expected);
 }
 

@@ -103,8 +103,7 @@ TEST(EngineV2, EveryBackendSpeaksV2) {
   cfg.num_nodes = 4;
   cfg.batch_bytes = 8 * KiB;
   const std::span<const key_t> queries(fx.queries.data(), 6000);
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative}) {
+  for (const Backend backend : {Backend::kSim, Backend::kParallelNative}) {
     const auto engine = make_engine(backend, cfg);
     const auto index = engine->build(fx.keys);
     EXPECT_STREQ(index->backend(), backend_name(backend));
@@ -344,29 +343,26 @@ TEST(EngineV2, DestroyClientsUnderLoadWhileOthersStream) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
-TEST(EngineV2, ConcurrentClientsOnSyncBackendsToo) {
+TEST(EngineV2, ConcurrentClientsOnTheSyncBackendToo) {
   const auto& fx = fixture();
   ExperimentConfig cfg;
   cfg.method = Method::kC3;
   cfg.machine = arch::pentium3_cluster();
   cfg.num_nodes = 4;
-  for (const Backend backend : {Backend::kSim, Backend::kNative}) {
-    const auto index = make_engine(backend, cfg)->build(fx.keys);
-    std::atomic<std::uint64_t> mismatches{0};
-    std::vector<std::thread> streams;
-    for (int c = 0; c < 3; ++c)
-      streams.emplace_back([&] {
-        const auto client = index->connect();
-        std::vector<rank_t> ranks;
-        client->wait(
-            client->submit(std::span(fx.queries.data(), 2000), &ranks));
-        for (std::size_t i = 0; i < 2000; ++i)
-          if (ranks[i] != fx.expected[i])
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-      });
-    for (auto& s : streams) s.join();
-    EXPECT_EQ(mismatches.load(), 0u) << backend_name(backend);
-  }
+  const auto index = make_engine(Backend::kSim, cfg)->build(fx.keys);
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> streams;
+  for (int c = 0; c < 3; ++c)
+    streams.emplace_back([&] {
+      const auto client = index->connect();
+      std::vector<rank_t> ranks;
+      client->wait(client->submit(std::span(fx.queries.data(), 2000), &ranks));
+      for (std::size_t i = 0; i < 2000; ++i)
+        if (ranks[i] != fx.expected[i])
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (auto& s : streams) s.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // --- Edge cases the contract documents ------------------------------------
@@ -503,16 +499,16 @@ TEST(RunReportMergeDefense, MismatchedNodeLayoutsDropDetailKeepScalars) {
 }
 
 TEST(RunReportMergeDefense, EmptyVsNonEmptyAlsoDrops) {
-  RunReport native;  // NativeEngine reports no per-node detail
-  native.method = Method::kC3;
-  native.num_queries = 7;
+  RunReport bare;  // no per-node detail
+  bare.method = Method::kC3;
+  bare.num_queries = 7;
   RunReport parallel;
   parallel.method = Method::kC3;
   parallel.num_queries = 9;
   parallel.nodes.resize(4);
-  native.merge(parallel);
-  EXPECT_EQ(native.num_queries, 16u);
-  EXPECT_TRUE(native.nodes.empty());
+  bare.merge(parallel);
+  EXPECT_EQ(bare.num_queries, 16u);
+  EXPECT_TRUE(bare.nodes.empty());
 }
 
 TEST(RunReportMergeDefenseDeath, CrossMethodMergeAborts) {

@@ -1,10 +1,9 @@
-// Wall-clock latency on the native backends: track_latency (once
+// Wall-clock latency on the real-thread backend: track_latency (once
 // simulator-only) must fill RunReport::latency_ns with measured,
-// per-query response times on NativeEngine and ParallelNativeEngine —
-// counts exact, values positive, caller-declared queue wait added, and
-// the submit-stamp plumbing race-free under concurrent clients (this
-// file doubles as the TSan workout for the per-submission latency
-// records).
+// per-query response times on ParallelNativeEngine — counts exact,
+// values positive, caller-declared queue wait added, and the
+// submit-stamp plumbing race-free under concurrent clients (this file
+// doubles as the TSan workout for the per-submission latency records).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,11 +44,9 @@ ExperimentConfig tracked_config() {
   return cfg;
 }
 
-class NativeLatency : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(NativeLatency, EveryQueryGetsAPositiveWallClockSample) {
+TEST(NativeLatency, EveryQueryGetsAPositiveWallClockSample) {
   const auto& fx = fixture();
-  const auto engine = make_engine(GetParam(), tracked_config());
+  const auto engine = make_engine(Backend::kParallelNative, tracked_config());
   const auto index = engine->build(fx.keys);
   const auto client = index->connect();
   // Two batches so the per-client total exercises the latency merge.
@@ -67,9 +64,9 @@ TEST_P(NativeLatency, EveryQueryGetsAPositiveWallClockSample) {
   EXPECT_GT(total.latency_ns.min(), 0.0);
 }
 
-TEST_P(NativeLatency, DeclaredQueueWaitShiftsEverySample) {
+TEST(NativeLatency, DeclaredQueueWaitShiftsEverySample) {
   const auto& fx = fixture();
-  const auto engine = make_engine(GetParam(), tracked_config());
+  const auto engine = make_engine(Backend::kParallelNative, tracked_config());
   const auto index = engine->build(fx.keys);
 
   // Same batch twice: once bare, once with a huge declared pre-submit
@@ -91,10 +88,10 @@ TEST_P(NativeLatency, DeclaredQueueWaitShiftsEverySample) {
               0.5 * kOffsetNs);
 }
 
-TEST_P(NativeLatency, QueuedSpanLengthMismatchDies) {
+TEST(NativeLatency, QueuedSpanLengthMismatchDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto& fx = fixture();
-  const auto engine = make_engine(GetParam(), tracked_config());
+  const auto engine = make_engine(Backend::kParallelNative, tracked_config());
   const auto index = engine->build(fx.keys);
   const auto client = index->connect();
   const std::vector<double> wrong(3, 0.0);
@@ -102,16 +99,6 @@ TEST_P(NativeLatency, QueuedSpanLengthMismatchDies) {
                               {.queued_ns = wrong}),
                "queued_ns");
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, NativeLatency,
-                         ::testing::Values(Backend::kNative,
-                                           Backend::kParallelNative),
-                         [](const auto& info) {
-                           return std::string(
-                               info.param == Backend::kNative
-                                   ? "native"
-                                   : "parallel_native");
-                         });
 
 // The raced test TSan runs in CI: many clients of one shared parallel
 // index submit concurrently with track_latency on. Submit stamps live

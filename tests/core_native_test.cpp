@@ -1,10 +1,11 @@
-// Native-engine and public-facade tests: the threaded implementations
-// must agree bit-for-bit with std::upper_bound, like the simulator.
+// Public-facade tests (DistributedInCacheIndex, whose lookup_batch runs
+// on ParallelNativeEngine's threads) plus the real-thread affinity
+// guard: every answer agrees bit-for-bit with std::upper_bound.
 #include <gtest/gtest.h>
 
 #include "src/arch/topology.hpp"
 #include "src/core/distributed_index.hpp"
-#include "src/core/native_engine.hpp"
+#include "src/core/engine.hpp"
 #include "src/util/affinity.hpp"
 #include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
@@ -35,35 +36,7 @@ const Fixture& fixture() {
   return f;
 }
 
-class NativeMethodParam : public ::testing::TestWithParam<Method> {};
-
-TEST_P(NativeMethodParam, ExactResults) {
-  const auto& fx = fixture();
-  NativeConfig cfg;
-  cfg.method = GetParam();
-  cfg.num_nodes = 4;
-  cfg.batch_bytes = 16 * KiB;
-  std::vector<rank_t> ranks;
-  const auto report = NativeCluster(cfg).run(fx.keys, fx.queries, &ranks);
-  ASSERT_EQ(ranks.size(), fx.expected.size());
-  for (std::size_t i = 0; i < ranks.size(); ++i)
-    ASSERT_EQ(ranks[i], fx.expected[i]) << "query index " << i;
-  EXPECT_EQ(report.num_queries, fx.queries.size());
-  EXPECT_GT(report.seconds(), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllMethods, NativeMethodParam,
-                         ::testing::Values(Method::kA, Method::kB,
-                                           Method::kC1, Method::kC2,
-                                           Method::kC3),
-                         [](const auto& info) {
-                           std::string n = method_name(info.param);
-                           n.erase(std::remove(n.begin(), n.end(), '-'),
-                                   n.end());
-                           return n;
-                         });
-
-TEST(NativeCluster, LeavesCallerAffinityUntouched) {
+TEST(RealThreads, LeavesCallerAffinityUntouched) {
   if (kStartupCpus.size() < 2)
     GTEST_SKIP() << "one allowed CPU: a leaked pin would be invisible";
   ExperimentConfig cfg;
@@ -72,45 +45,14 @@ TEST(NativeCluster, LeavesCallerAffinityUntouched) {
   cfg.num_nodes = 3;
   const auto& fx = fixture();
   std::vector<rank_t> ranks;
-  make_engine(Backend::kNative, cfg)->run(fx.keys, fx.queries, &ranks);
+  make_engine(Backend::kParallelNative, cfg)->run(fx.keys, fx.queries, &ranks);
   EXPECT_EQ(ranks, fx.expected);
-  // The run pinned only threads it spawned: this thread keeps its mask,
-  // so a fleet built here afterwards still spreads over every CPU.
+  const DistributedInCacheIndex index(fx.keys, 2);
+  EXPECT_EQ(index.lookup_batch(fx.queries), fx.expected);
+  // Both runs pinned only threads they spawned: this thread keeps its
+  // mask, so a fleet built here afterwards still spreads over every CPU.
   EXPECT_EQ(allowed_cpus(), kStartupCpus);
   EXPECT_EQ(arch::make_topology(0).total_cpus(), kStartupCpus.size());
-}
-
-TEST(NativeCluster, SingleSlave) {
-  const auto& fx = fixture();
-  NativeConfig cfg;
-  cfg.method = Method::kC3;
-  cfg.num_nodes = 2;
-  std::vector<rank_t> ranks;
-  NativeCluster(cfg).run(fx.keys, fx.queries, &ranks);
-  EXPECT_EQ(ranks, fx.expected);
-}
-
-TEST(NativeCluster, ManySlaves) {
-  const auto& fx = fixture();
-  NativeConfig cfg;
-  cfg.method = Method::kC3;
-  cfg.num_nodes = 17;
-  std::vector<rank_t> ranks;
-  const auto report = NativeCluster(cfg).run(fx.keys, fx.queries, &ranks);
-  EXPECT_EQ(ranks, fx.expected);
-  EXPECT_GT(report.messages, 0u);
-}
-
-TEST(NativeCluster, TinyBatches) {
-  const auto& fx = fixture();
-  NativeConfig cfg;
-  cfg.method = Method::kC3;
-  cfg.num_nodes = 3;
-  cfg.batch_bytes = sizeof(key_t);  // one key per round
-  std::vector<rank_t> ranks;
-  NativeCluster(cfg).run(fx.keys, std::span(fx.queries.data(), 500), &ranks);
-  for (std::size_t i = 0; i < 500; ++i)
-    ASSERT_EQ(ranks[i], fx.expected[i]);
 }
 
 TEST(DistributedIndex, SortsAndDeduplicates) {
@@ -165,6 +107,10 @@ TEST(DistributedIndex, SingleKeyIndex) {
   EXPECT_EQ(index.lookup(41), 0u);
   EXPECT_EQ(index.lookup(42), 1u);
   EXPECT_TRUE(index.contains(42));
+  // One key, one partition, one worker thread.
+  const std::vector<key_t> queries{0, 41, 42, 43, 0xffffffffu};
+  EXPECT_EQ(index.lookup_batch(queries),
+            (std::vector<rank_t>{0, 0, 1, 1, 1}));
 }
 
 }  // namespace

@@ -307,8 +307,7 @@ TEST(ClientSeam, EveryBackendStreamsCorrectly) {
   cfg.num_nodes = 4;
   cfg.batch_bytes = 8 * KiB;
   const std::span<const key_t> queries(fx.queries.data(), 6000);
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative}) {
+  for (const Backend backend : {Backend::kSim, Backend::kParallelNative}) {
     const auto engine = make_engine(backend, cfg);
     const auto client = engine->build(fx.keys)->connect();
     EXPECT_STREQ(client->backend(), backend_name(backend));
@@ -374,8 +373,9 @@ TEST(RunReportMerge, AddsCountersAndNodes) {
   EXPECT_TRUE(a.nodes.empty());
 }
 
-// The seam itself: all three backends, built from the same
-// ExperimentConfig through make_engine, agree on every rank.
+// The seam itself: sim and parallel-native, built from the same
+// ExperimentConfig through make_engine, agree on every rank
+// (cluster_engine_test checks the cluster over every transport).
 TEST(EngineSeam, BackendsAgreeOnRanks) {
   const auto& fx = fixture();
   ExperimentConfig cfg;
@@ -385,8 +385,7 @@ TEST(EngineSeam, BackendsAgreeOnRanks) {
   cfg.batch_bytes = 16 * KiB;
   const std::span<const key_t> queries(fx.queries.data(), 20000);
   const auto expected = workload::reference_ranks(fx.keys, queries);
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative}) {
+  for (const Backend backend : {Backend::kSim, Backend::kParallelNative}) {
     const auto engine = make_engine(backend, cfg);
     std::vector<rank_t> ranks;
     const RunReport report = engine->run(fx.keys, queries, &ranks);
@@ -396,15 +395,32 @@ TEST(EngineSeam, BackendsAgreeOnRanks) {
   }
 }
 
+TEST(EngineSeam, FleetLargerThanIndexStaysExact) {
+  // 3 keys, 8 slaves: every backend clamps its partition count to the
+  // key count (index::clamp_parts) and leaves the surplus slaves idle.
+  const std::vector<key_t> keys{10, 20, 30};
+  const std::vector<key_t> queries{0, 10, 15, 20, 30, 0xffffffffu};
+  ExperimentConfig cfg;
+  cfg.method = Method::kC3;
+  cfg.machine = arch::pentium3_cluster();
+  cfg.num_nodes = 9;
+  for (const Backend backend : kAllBackends) {
+    std::vector<rank_t> ranks;
+    make_engine(backend, cfg)->run(keys, queries, &ranks);
+    EXPECT_EQ(ranks, (std::vector<rank_t>{0, 1, 1, 2, 3, 3}))
+        << backend_name(backend);
+  }
+}
+
 TEST(EngineSeam, BackendNamesAreStable) {
   ExperimentConfig cfg;
   cfg.method = Method::kC3;
   cfg.machine = arch::pentium3_cluster();
   cfg.num_nodes = 3;
   EXPECT_STREQ(make_engine(Backend::kSim, cfg)->name(), "sim");
-  EXPECT_STREQ(make_engine(Backend::kNative, cfg)->name(), "native");
   EXPECT_STREQ(make_engine(Backend::kParallelNative, cfg)->name(),
                "parallel-native");
+  EXPECT_STREQ(make_engine(Backend::kCluster, cfg)->name(), "cluster");
 }
 
 TEST(EngineSeam, ParallelConfigMapsSlaves) {

@@ -203,6 +203,36 @@ TEST(StoreV3, EraseEverythingThenRepopulate) {
   EXPECT_EQ(ranks, (std::vector<rank_t>{0, 1, 2, 2}));
 }
 
+// --- A fleet larger than the live set --------------------------------------
+
+TEST(StoreV3, ShrinksBelowTheSlaveCountOnEveryBackend) {
+  // 100 keys over 4 slaves, erased down to 2: the rebuild hands every
+  // backend a base with fewer keys than slaves. Each must cut it through
+  // index::clamp_parts (surplus slaves idle) and keep every rank exact.
+  std::vector<key_t> base(100);
+  for (std::size_t i = 0; i < base.size(); ++i)
+    base[i] = static_cast<key_t>(10 * i);
+  for (const Backend backend : kAllBackends) {
+    ExperimentConfig cfg = sim_config();
+    cfg.num_nodes = 5;
+    // All 98 erases fit one delta chunk past the 64-key trigger, so one
+    // rebuild folds them into a 2-key base.
+    cfg.max_delta_keys = 128;
+    const auto store = make_store(backend, cfg, base);
+    const auto writer = store->writer();
+    EXPECT_EQ(writer->erase(std::span(base).subspan(2)), base.size() - 2);
+    writer->flush();
+    store->wait_rebuilds_idle();
+    ASSERT_EQ(store->current()->base()->size(), 2u) << backend_name(backend);
+    EXPECT_EQ(store->live_keys(), 2u);
+    const auto client = store->connect();
+    std::vector<rank_t> ranks;
+    client->wait(client->submit(std::vector<key_t>{0, 5, 10, 11, 990}, &ranks));
+    EXPECT_EQ(ranks, (std::vector<rank_t>{1, 1, 2, 2, 2}))
+        << backend_name(backend);
+  }
+}
+
 // --- Equivalence across the whole matrix ----------------------------------
 
 TEST(StoreMatrix, MixedCellsVerifyAcrossDistributionsAndBackends) {

@@ -6,7 +6,6 @@
 
 #include "src/arch/machine.hpp"
 #include "src/core/engine.hpp"
-#include "src/core/native_engine.hpp"
 #include "src/core/parallel_engine.hpp"
 #include "src/core/store.hpp"
 #include "src/util/bytes.hpp"
@@ -89,7 +88,6 @@ TEST(ValidateAccepts, TrackLatencyOnEveryNativeBackend) {
   cfg.num_nodes = 4;
   cfg.track_latency = true;
   check_native_supported(cfg);  // must not abort
-  EXPECT_TRUE(native_config_from(cfg).track_latency);
   EXPECT_TRUE(parallel_config_from(cfg).track_latency);
 }
 
@@ -113,8 +111,7 @@ TEST_F(ValidateDeath, BadKernelEnumNamesFieldAndValue) {
   cfg.kernel = static_cast<SearchKernel>(42);
   EXPECT_DEATH(validate(cfg), "kernel = 42");
   // The same miscast dies the same way through every backend factory.
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative}) {
+  for (const Backend backend : kAllBackends) {
     EXPECT_DEATH(make_engine(backend, cfg), "kernel = 42")
         << backend_name(backend);
   }
@@ -130,8 +127,7 @@ TEST_F(ValidateDeath, BadPlacementEnumNamesFieldAndValue) {
   auto cfg = good_config();
   cfg.placement = static_cast<Placement>(17);
   EXPECT_DEATH(validate(cfg), "placement = 17");
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative}) {
+  for (const Backend backend : kAllBackends) {
     EXPECT_DEATH(make_engine(backend, cfg), "placement = 17")
         << backend_name(backend);
   }
@@ -228,15 +224,26 @@ TEST(ValidateAccepts, EveryKernelFlagParses) {
               kernel);
 }
 
+TEST_F(ValidateDeath, BadBackendFlagNamesValueAndChoices) {
+  // The --backends parse: the retired native backend dies naming the
+  // VALUE and the backends that remain.
+  EXPECT_DEATH(backend_from_flag("native", "--backends"),
+               "--backends = \"native\" is not a backend "
+               "\\(want sim\\|parallel-native\\|cluster\\)");
+}
+
+TEST(ValidateAccepts, EveryBackendFlagParses) {
+  for (const Backend backend : kAllBackends)
+    EXPECT_EQ(backend_from_flag(backend_name(backend), "--backends"), backend);
+}
+
 // The messages gate configs the same way through make_engine, whatever
 // the backend.
 TEST_F(ValidateDeath, MakeEngineFunnelsThroughValidate) {
   auto cfg = good_config();
   cfg.num_nodes = 1;
   cfg.num_masters = 0;
-  for (const Backend backend :
-       {Backend::kSim, Backend::kNative, Backend::kParallelNative,
-        Backend::kCluster}) {
+  for (const Backend backend : kAllBackends) {
     EXPECT_DEATH(make_engine(backend, cfg), "num_nodes = 1")
         << backend_name(backend);
   }

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 #include "src/arch/machine.hpp"
-#include "src/net/blocking_queue.hpp"
 #include "src/net/link.hpp"
 #include "src/net/sim_network.hpp"
 #include "src/util/bytes.hpp"
@@ -87,69 +83,6 @@ TEST_F(SimNetworkTest, LateReadyAfterBusyEgress) {
 TEST(SimNetworkDeath, RejectsLoopback) {
   SimNetwork net(2, LinkModel(arch::pentium3_cluster()));
   EXPECT_DEATH(net.send(1, 1, 10, 0), "loopback");
-}
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BlockingQueue, CloseDrainsThenEmpty) {
-  BlockingQueue<int> q;
-  q.push(7);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 7);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // stays closed
-}
-
-TEST(BlockingQueue, TryPopNonBlocking) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.push(5);
-  EXPECT_EQ(q.try_pop().value(), 5);
-}
-
-TEST(BlockingQueue, PushAfterCloseIsDropped) {
-  BlockingQueue<int> q;
-  q.close();
-  q.push(9);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BlockingQueue, CrossThreadDelivery) {
-  BlockingQueue<int> q;
-  std::vector<int> received;
-  std::thread consumer([&] {
-    while (auto v = q.pop()) received.push_back(*v);
-  });
-  for (int i = 0; i < 1000; ++i) q.push(i);
-  q.close();
-  consumer.join();
-  ASSERT_EQ(received.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(received[i], i);
-}
-
-TEST(BlockingQueue, ManyProducersOneConsumer) {
-  BlockingQueue<int> q;
-  std::atomic<long> sum{0};
-  std::thread consumer([&] {
-    while (auto v = q.pop()) sum += *v;
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p)
-    producers.emplace_back([&] {
-      for (int i = 1; i <= 250; ++i) q.push(i);
-    });
-  for (auto& t : producers) t.join();
-  q.close();
-  consumer.join();
-  EXPECT_EQ(sum.load(), 4L * 250 * 251 / 2);
 }
 
 }  // namespace

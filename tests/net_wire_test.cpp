@@ -311,6 +311,17 @@ TEST(Wire, RejectsTrailingBytes) {
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
+TEST(Wire, RejectsNonCanonicalBuildShardLastFlag) {
+  // Found by net_wire_fuzz_test: a last-flag byte of 0x11 decoded as
+  // true and re-encoded as 0x01, so one message had many spellings.
+  Frame f = encode_build_shard(kCoordinatorId, {.shard = 1, .last = true});
+  f.payload[12] = 0x11;  // shard, global_offset, chunk, then the flag
+  BuildShardMsg out;
+  std::string error;
+  EXPECT_FALSE(decode_build_shard(f, &out, &error));
+  EXPECT_NE(error.find("last flag is 17"), std::string::npos) << error;
+}
+
 TEST(Wire, RejectsWrongTypeForDecoder) {
   const Frame f = encode_heartbeat(0, {});
   JoinAckMsg out;

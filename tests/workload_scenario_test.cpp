@@ -21,10 +21,10 @@ TEST(ScenarioMatrix, EveryCellAgreesAcrossAllBackends) {
   // batch, shards smaller than the index.
   const ScenarioRegistry registry = default_scenarios(4096, 6000);
   ASSERT_EQ(registry.specs().size(), all_distributions().size());
-  MatrixOptions options;  // all four backends, verify on
+  MatrixOptions options;  // all three backends, verify on
   const auto cells = run_scenario_matrix(registry, options);
-  // 5 distributions x {sim, native, parallel-native, cluster}.
-  ASSERT_EQ(cells.size(), all_distributions().size() * 4);
+  // 5 distributions x {sim, parallel-native, cluster}.
+  ASSERT_EQ(cells.size(), all_distributions().size() * 3);
   for (const auto& cell : cells) {
     EXPECT_TRUE(cell.verified);
     EXPECT_TRUE(cell.ranks_ok)
@@ -38,16 +38,17 @@ TEST(ScenarioMatrix, EveryCellAgreesAcrossAllBackends) {
 }
 
 TEST(ScenarioMatrix, KernelAxisEveryCellRankExact) {
-  // The full distribution x backend x kernel cross product: the native
-  // backends actually switch their C-3 probe code per kernel (sorted
-  // scalar, eytzinger, interleaved batch), the sim verifies invariance.
+  // The full distribution x backend x kernel cross product:
+  // parallel-native and the cluster actually switch their C-3 probe code
+  // per kernel (sorted scalar, eytzinger, interleaved batch), the sim
+  // verifies invariance.
   const ScenarioRegistry registry = default_scenarios(1024, 2000);
   MatrixOptions options;
   options.kernels.assign(core::all_search_kernels().begin(),
                          core::all_search_kernels().end());
   const auto cells = run_scenario_matrix(registry, options);
   ASSERT_EQ(cells.size(),
-            all_distributions().size() * 4 * core::all_search_kernels().size());
+            all_distributions().size() * 3 * core::all_search_kernels().size());
   std::set<std::string> kernels_seen;
   for (const auto& cell : cells) {
     EXPECT_TRUE(cell.ranks_ok)
@@ -61,8 +62,8 @@ TEST(ScenarioMatrix, KernelAxisEveryCellRankExact) {
 
 TEST(ScenarioMatrix, PlacementAxisEveryCellRankExact) {
   // The placement axis on a simulated 2-node topology: parallel-native
-  // sweeps all three modes (interleave / node-local / replicate), the
-  // other backends run one cell each — and every cell's ranks must be
+  // and the cluster sweep all three modes (interleave / node-local /
+  // replicate), the sim runs one cell — and every cell's ranks must be
   // bit-identical to the reference whatever the placement, which is the
   // matrix smoke's placement-invariance gate.
   const ScenarioRegistry registry = default_scenarios(2048, 4000);
@@ -71,9 +72,9 @@ TEST(ScenarioMatrix, PlacementAxisEveryCellRankExact) {
                             core::all_placements().end());
   options.numa_nodes = 2;
   const auto cells = run_scenario_matrix(registry, options);
-  // 5 distributions x (sim + native + 3 parallel-native placements
+  // 5 distributions x (sim + 3 parallel-native placements
   // + 3 cluster placements).
-  ASSERT_EQ(cells.size(), all_distributions().size() * 8);
+  ASSERT_EQ(cells.size(), all_distributions().size() * 7);
   std::set<std::string> parallel_placements;
   std::set<std::string> cluster_placements;
   for (const auto& cell : cells) {
@@ -131,7 +132,7 @@ TEST(ScenarioMatrix, PipelinedCellsStayRankExact) {
   MatrixOptions options;
   options.in_flight = 3;
   const auto cells = run_scenario_matrix(registry, options);
-  ASSERT_EQ(cells.size(), all_distributions().size() * 4);
+  ASSERT_EQ(cells.size(), all_distributions().size() * 3);
   for (const auto& cell : cells) {
     EXPECT_TRUE(cell.ranks_ok)
         << cell.scenario << " x " << cell.backend << " at depth 3: "
@@ -168,9 +169,9 @@ TEST(ScenarioMatrix, NonC3SpecSkipsParallelBackend) {
   spec.index_keys = 512;
   spec.num_queries = 400;
   registry.add(spec);
-  MatrixOptions options;  // all four backends requested
+  MatrixOptions options;  // all three backends requested
   const auto cells = run_scenario_matrix(registry, options);
-  ASSERT_EQ(cells.size(), 2u);  // parallel-native AND cluster skipped
+  ASSERT_EQ(cells.size(), 1u);  // parallel-native AND cluster skipped
   for (const auto& cell : cells) {
     EXPECT_NE(cell.backend, "parallel-native");
     EXPECT_NE(cell.backend, "cluster");
