@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   cli.add_int("shards-per-thread", "shards per worker thread", 1);
   cli.add_string("kernel", std::string("search kernel for the thread "
                  "sweep: ") + index::kSearchKernelChoices +
-                 " (the kernel table below sweeps them all)", "branchless");
+                 " (the kernel table below sweeps them all)",
+                 index::search_kernel_name(index::kDefaultSearchKernel));
   cli.add_int("repeats", "timed repetitions per row (best kept)", 3);
   cli.add_int("session-batches", "largest batch count in the session-reuse "
               "table (powers of two up to it, plus itself)", 8);

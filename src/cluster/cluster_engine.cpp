@@ -259,10 +259,12 @@ class ClusterIndex : public Index {
   ClusterIndex(const ClusterConfig& config, std::span<const key_t> index_keys)
       : Index(index_keys),
         config_(config),
-        partitioner_(keys(), index::clamp_parts(config.num_shards == 0
-                                                    ? config.num_nodes
-                                                    : config.num_shards,
-                                                keys().size())),
+        // The Index base checked the order while copying the keys.
+        partitioner_(keys(), keys(),
+                     index::clamp_parts(config.num_shards == 0
+                                            ? config.num_nodes
+                                            : config.num_shards,
+                                        keys().size())),
         membership_(config.num_nodes),
         links_(config.num_nodes),
         ledger_(std::make_shared<RecoveryLedger>()) {

@@ -92,7 +92,7 @@ struct ClusterConfig {
   /// Query bytes the coordinator ingests per dispatch round.
   std::uint64_t batch_bytes = 64 * KiB;
   net::TransportKind transport = net::TransportKind::kRing;
-  index::SearchKernel kernel = index::SearchKernel::kBranchless;
+  index::SearchKernel kernel = index::kDefaultSearchKernel;
   index::Placement placement = index::Placement::kInterleave;
   /// Node -> coordinator heartbeat cadence.
   std::uint32_t heartbeat_interval_ms = 25;

@@ -111,7 +111,7 @@ class NodeService {
   std::atomic<std::uint64_t> replica_keys_{0};
 
   // Configuration, all from the kNodeConfig frame (await_config).
-  index::SearchKernel kernel_ = index::SearchKernel::kBranchless;
+  index::SearchKernel kernel_ = index::kDefaultSearchKernel;
   std::uint32_t heartbeat_interval_ms_ = 25;
 
   Membership membership_{1};  ///< service-thread-only mirror, resized

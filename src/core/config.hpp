@@ -17,6 +17,7 @@ namespace dici::core {
 // backend seam speaks core::SearchKernel.
 using index::KeyLayout;
 using index::SearchKernel;
+using index::kDefaultSearchKernel;
 using index::all_search_kernels;
 using index::kernel_layout;
 using index::key_layout_name;
@@ -103,7 +104,7 @@ struct ExperimentConfig {
   /// with (see index/fast_search.hpp for the menu). Never changes a
   /// result, only native wall time; the simulator's cost model already
   /// abstracts comparator behaviour, so its reports ignore it.
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = kDefaultSearchKernel;
   /// Where ParallelNativeEngine lays each shard's key copies relative
   /// to the NUMA node of the workers probing them (index/placement.hpp
   /// for the menu; machine.numa_nodes picks real vs simulated

@@ -11,9 +11,12 @@ namespace dici::core {
 
 // --- Index ----------------------------------------------------------------
 
-Index::Index(std::span<const key_t> index_keys)
-    : keys_(index_keys.begin(), index_keys.end()) {
-  DICI_CHECK_MSG(!keys_.empty(), "an index needs at least one key");
+Index::Index(std::span<const key_t> index_keys) : Index(index_keys.size()) {
+  copy_sorted(index_keys, keys_.get());
+}
+
+Index::Index(std::size_t size) : size_(size), keys_(allocate_keys(size)) {
+  DICI_CHECK_MSG(size_ > 0, "an index needs at least one key");
 }
 
 std::unique_ptr<Client> Index::connect() const {

@@ -51,6 +51,7 @@
 
 #include "src/core/config.hpp"
 #include "src/core/run_report.hpp"
+#include "src/util/key_array.hpp"
 #include "src/util/types.hpp"
 
 namespace dici::index {
@@ -81,20 +82,30 @@ class Index : public std::enable_shared_from_this<Index> {
   std::unique_ptr<Client> connect() const;
 
   /// The built (sorted, unique) key array — the single shared copy.
-  std::span<const key_t> keys() const { return keys_; }
-  std::size_t size() const { return keys_.size(); }
+  std::span<const key_t> keys() const { return {keys_.get(), size_}; }
+  std::size_t size() const { return size_; }
 
   /// Stable identifier of the backend that built this index.
   virtual const char* backend() const = 0;
 
  protected:
+  /// Copy `index_keys` into the index, aborting unless they are sorted.
   explicit Index(std::span<const key_t> index_keys);
+
+  /// Reserve the key array for `size` keys without writing any of it:
+  /// the derived constructor fills every slot through unfilled_keys(),
+  /// checking their order (dici::copy_sorted), before it returns. The
+  /// parallel backend splits that copy across its pinned workers.
+  explicit Index(std::size_t size);
+
+  std::span<key_t> unfilled_keys() { return {keys_.get(), size_}; }
 
  private:
   virtual std::unique_ptr<Client> do_connect(
       std::shared_ptr<const Index> self) const = 0;
 
-  std::vector<key_t> keys_;
+  std::size_t size_;
+  KeyArray keys_;
 };
 
 /// Handle for one in-flight submission. Cheap to copy; only meaningful
@@ -272,7 +283,8 @@ class Engine {
   virtual ~Engine() = default;
 
   /// Build the one immutable index over `index_keys` (sorted, unique,
-  /// non-empty). The returned Index is shareable: connect() as many
+  /// non-empty; every backend aborts naming "sorted" on keys out of
+  /// order). The returned Index is shareable: connect() as many
   /// concurrent clients as you like; the Engine may be destroyed.
   virtual std::shared_ptr<const Index> build(
       std::span<const key_t> index_keys) const = 0;

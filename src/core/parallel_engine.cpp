@@ -19,6 +19,7 @@
 #include "src/net/spsc_ring.hpp"
 #include "src/util/affinity.hpp"
 #include "src/util/assert.hpp"
+#include "src/util/key_array.hpp"
 #include "src/util/timer.hpp"
 
 namespace dici::core {
@@ -93,6 +94,9 @@ constexpr std::size_t kRingSlots = 256;
 /// Minimum victim backlog (pending batches) before a CROSS-NODE steal
 /// is worth the remote-memory price; same-node steals ignore it.
 constexpr std::size_t kCrossNodeStealBacklog = 2;
+
+/// Worker fleets alive in this process (see ParallelIndex::build_share).
+std::atomic<std::uint32_t> live_fleets{0};
 
 /// Completion record for one submitted batch, shared between the
 /// submitting client, every work item the batch fanned out into, and
@@ -190,20 +194,24 @@ struct Submission {
 /// submit concurrently.
 class ParallelIndex : public Index {
  public:
+  /// Allocates the key array and cuts the partitions on this thread;
+  /// the workers copy the keys in (see build_share).
   ParallelIndex(const ParallelConfig& config,
                 std::span<const key_t> index_keys)
-      : Index(index_keys),
+      : Index(index_keys.size()),
         config_(config),
         topology_(arch::make_topology(config.numa_nodes)),
-        partitioner_(keys(), index::clamp_parts(config.num_shards == 0
-                                                    ? config.num_threads
-                                                    : config.num_shards,
-                                                keys().size())),
+        partitioner_(keys(), index_keys,
+                     index::clamp_parts(config.num_shards == 0
+                                            ? config.num_threads
+                                            : config.num_shards,
+                                        keys().size())),
         placed_(config.placement,
                 kernel_layout(config.kernel) == KeyLayout::kEytzinger,
                 partitioner_, topology_.nodes()),
         hubs_(config.num_threads),
-        built_(config.num_threads) {
+        built_(config.num_threads),
+        pinned_(config.num_threads) {
     const std::uint32_t T = config_.num_threads;
     const std::uint32_t N = topology_.nodes();
     worker_node_.resize(T);
@@ -221,12 +229,17 @@ class ParallelIndex : public Index {
     // node's), so allocating one would be pure rent.
     for (std::uint32_t node = 0; node < N; ++node)
       if (workers_on_node_[node] > 0) placed_.allocate_replica(node);
+    sole_fleet_ = live_fleets.fetch_add(1, std::memory_order_relaxed) == 0;
     workers_.reserve(T);
     for (std::uint32_t w = 0; w < T; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
+      workers_.emplace_back([this, w, index_keys] {
+        build_share(w, index_keys);
+        worker_loop(w);
+      });
     // The build barrier: build() returns a fully placed, ready index,
     // and every worker's copies are published to every other worker
-    // (and to submitting clients) through this join point.
+    // (and to submitting clients) through this join point. It also
+    // ends every read of `index_keys`, which dies with our caller.
     built_.wait();
   }
 
@@ -236,6 +249,7 @@ class ParallelIndex : public Index {
     // the workers run their final empty scan and exit.
     for (auto& hub : hubs_) hub.close();
     for (auto& worker : workers_) worker.join();
+    live_fleets.fetch_sub(1, std::memory_order_relaxed);
   }
 
   const char* backend() const override {
@@ -360,16 +374,49 @@ class ParallelIndex : public Index {
     return false;
   }
 
+  /// Worker w's part of the build. For every shard it owns, the worker
+  /// copies that slice of `source` into the Index's key array and checks
+  /// its order, against the key before the slice too — so the shards
+  /// together check the whole array. Then it builds its share of the
+  /// placement copies while the slices are still in cache, and counts
+  /// down the latch that publishes every share fleet-wide. It builds
+  /// pinned to its own core when it is the process's only fleet, and to
+  /// its node otherwise: either way first touch puts each page on the
+  /// node of the worker that probes it.
+  ///
+  /// A second fleet is almost always a Store rebuild, whose workers pin
+  /// to the cores the serving fleet runs on. On a 4-vCPU host, building
+  /// there held each serving worker off its core for a scheduler slice
+  /// and skew-rw's p99 rose 4x; node-wide, the scheduler keeps the copy
+  /// where there is room. The sole fleet builds on its own cores because
+  /// node-wide builders queued on one CPU for ~1 ms before the balancer
+  /// spread them, which doubled uniform-l2's setup_s on the same host.
+  void build_share(std::uint32_t w, std::span<const key_t> source) {
+    const std::uint32_t node = worker_node_[w];
+    if (config_.pin_threads) {
+      if (sole_fleet_) pin_worker(w);
+      else arch::pin_current_thread_to_node(topology_, node);
+    }
+    // Copy only once the whole fleet is placed. A sibling the scheduler
+    // started on this CPU would otherwise wait behind our copy until the
+    // load balancer moved it, which held the build up by about 1 ms.
+    pinned_.arrive_and_wait();
+    const std::span<key_t> shared = unfilled_keys();
+    for (std::uint32_t s = w; s < partitioner_.parts();
+         s += config_.num_threads) {
+      const rank_t start = partitioner_.start_of(s);
+      copy_sorted(source.subspan(start, partitioner_.size_of(s)),
+                  shared.data() + start,
+                  start > 0 ? &source[start - 1] : nullptr);
+    }
+    placed_.build_share(source, node, w, config_.num_threads,
+                        worker_rank_on_node_[w], workers_on_node_[node]);
+    if (config_.pin_threads && !sole_fleet_) pin_worker(w);
+    built_.count_down();
+  }
+
   void worker_loop(std::uint32_t w) {
     const std::uint32_t node = worker_node_[w];
-    if (config_.pin_threads) pin_worker(w);
-    // First-touch build of this worker's share of the placement copies,
-    // ON the pinned thread — this is what puts a shard's pages on its
-    // owner's node. The latch then publishes every share fleet-wide.
-    placed_.build_share(node, w, config_.num_threads,
-                        worker_rank_on_node_[w],
-                        workers_on_node_[node]);
-    built_.count_down();
     WorkItem item;
     std::chrono::microseconds nap = kStealRecheckNap;
     for (;;) {
@@ -411,6 +458,7 @@ class ParallelIndex : public Index {
   std::vector<std::uint32_t> worker_node_;          ///< worker -> node
   std::vector<std::uint32_t> worker_rank_on_node_;  ///< rank among node peers
   std::vector<std::uint32_t> workers_on_node_;      ///< node -> worker count
+  bool sole_fleet_ = true;  ///< no other fleet was alive at the build
   // Mutable: opening channels and pushing work are logically const (the
   // hubs synchronize internally); everything else is truly immutable.
   mutable std::vector<WorkHub> hubs_;
@@ -418,6 +466,7 @@ class ParallelIndex : public Index {
   /// worker reads in its loop: sharing a line with them made build()
   /// ~0.5 ms (25 %) slower on a 4-vCPU host.
   alignas(64) std::latch built_;
+  std::latch pinned_;  ///< the fleet is placed; build_share may copy
   std::vector<std::thread> workers_;
   /// Per-worker scratch for one message's local ranks before the
   /// scatter. thread_local so thieves and owners never share it.

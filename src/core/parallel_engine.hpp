@@ -18,8 +18,11 @@
 // interleaved batch kernel that keeps W cache misses in flight per
 // round — and scatter-merge results by query id, so the output array is
 // in query order without a sort; each id is written exactly once by
-// exactly one worker. When an eytzinger kernel is configured, build()
-// lays out each shard's BFS copy once, alongside the shared sorted copy.
+// exactly one worker. build() splits the key copy itself across the
+// pinned fleet: each worker copies its shards' slice of the caller's
+// keys into the shared sorted copy, checks the slice's order, and (for
+// an eytzinger kernel, the default) lays out the shard's BFS copy
+// while the slice is still in cache.
 //
 // build() is where this backend earns its keep: the partitioner and the
 // pinned worker fleet live in the immutable shared Index, built once
@@ -70,7 +73,7 @@ struct ParallelConfig {
   /// Pin worker w to a core of its NUMA node (best-effort; targets come
   /// from the allowed cpuset, never the raw online count).
   bool pin_threads = true;
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = kDefaultSearchKernel;
   /// Per-message framing charged to RunReport::wire_bytes so the field
   /// is comparable with the simulator's (request hop only: results are
   /// scattered directly in shared memory, so there is no reply hop).

@@ -1,35 +1,34 @@
 #include "src/index/eytzinger.hpp"
 
-#include "src/util/assert.hpp"
-
 namespace dici::index {
 
-namespace {
-
-/// Inorder walk of the implicit tree: slot k receives the next sorted
-/// element after its whole left subtree (rooted at 2k) has been filled.
-/// Recursion depth is the tree height (<= 32 for 32-bit ranks).
-void fill(std::span<const key_t> sorted, key_t* slots, rank_t* ranks,
-          std::size_t n, std::size_t k, std::size_t& next) {
-  if (k > n) return;
-  fill(sorted, slots, ranks, n, 2 * k, next);
-  slots[k] = sorted[next];
-  ranks[k] = static_cast<rank_t>(next);
-  ++next;
-  fill(sorted, slots, ranks, n, 2 * k + 1, next);
-}
-
-}  // namespace
-
 EytzingerLayout::EytzingerLayout(std::span<const key_t> sorted_keys)
-    : n_(sorted_keys.size()) {
-  slots_.reset(new (std::align_val_t{64}) key_t[n_ + 1]);
-  ranks_.resize(n_ + 1);
+    : n_(sorted_keys.size()),
+      levels_(levels_for(n_)),
+      bottom_(n_ == 0 ? 0 : n_ + 1 - (std::size_t{1} << (levels_ - 1))),
+      slots_(allocate_keys(n_ + 1)) {
   slots_[0] = 0;  // never probed; keep deterministic for tooling
-  ranks_[0] = static_cast<rank_t>(n_);  // the "all keys <= q" answer
-  std::size_t next = 0;
-  fill(sorted_keys, slots_.get(), ranks_.data(), n_, 1, next);
-  DICI_CHECK_MSG(next == n_, "eytzinger fill must place every key");
+  const key_t* sorted = sorted_keys.data();
+  for (std::uint32_t d = 0; d < levels_; ++d) {
+    // Level d holds slots [2^d, 2^d + count). Their perfect-tree
+    // inorder positions run i0, i0 + stride, ...; rank_of_slot maps the
+    // first `split` of them (those below 2L) to themselves and the rest
+    // to L + i / 2. So the level is two strided copies of sorted keys.
+    const std::size_t first = std::size_t{1} << d;
+    const std::size_t count = std::min(first, n_ + 1 - first);
+    const std::size_t stride = std::size_t{1} << (levels_ - d);
+    const std::size_t i0 = stride / 2 - 1;
+    const std::size_t split =
+        2 * bottom_ > i0
+            ? std::min(count, (2 * bottom_ - i0 + stride - 1) / stride)
+            : 0;
+    key_t* level = slots_.get() + first;
+    std::size_t j = 0;
+    for (; j < split; ++j) level[j] = sorted[i0 + j * stride];
+    // stride is even, so (i0 + j * stride) / 2 == i0 / 2 + j * stride / 2.
+    const key_t* upper = sorted + bottom_ + i0 / 2;
+    for (; j < count; ++j) level[j] = upper[j * (stride / 2)];
+  }
 }
 
 }  // namespace dici::index

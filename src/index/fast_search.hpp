@@ -51,6 +51,12 @@ enum class SearchKernel {
   kBatchedEytzinger,
 };
 
+/// The kernel every engine, node and matrix runs unless told otherwise:
+/// on the benchmark's workloads it beats the rest from cache-resident
+/// shards (L2) to DRAM-sized ones.
+inline constexpr SearchKernel kDefaultSearchKernel =
+    SearchKernel::kBatchedEytzinger;
+
 /// The physical key order a kernel probes. Every index keeps the sorted
 /// copy (routing, merging, the kSorted kernels); the Eytzinger copy is
 /// built alongside it when an eytzinger kernel is configured.
@@ -138,7 +144,7 @@ inline constexpr const char* kSearchKernelChoices =
 /// unknown kernel is a caller bug, not a recoverable condition.
 inline SearchKernel search_kernel_from_flag(const std::string& text,
                                             const char* field) {
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = kDefaultSearchKernel;
   DICI_CHECK_FMT(parse_search_kernel(text, &kernel),
                  "%s = \"%s\" is not a search kernel (want %s)", field,
                  text.c_str(), kSearchKernelChoices);

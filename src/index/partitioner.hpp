@@ -35,6 +35,13 @@ class RangePartitioner {
   RangePartitioner(std::span<const key_t> sorted_keys, std::uint32_t parts,
                    sim::laddr_t logical_base = 0);
 
+  /// The same split of `keys`, storage that is still being filled with
+  /// a copy of `source` — so the delimiters are read from `source`.
+  /// Checks no order: whoever copies `source` into `keys` must (see
+  /// dici::copy_sorted).
+  RangePartitioner(std::span<const key_t> keys, std::span<const key_t> source,
+                   std::uint32_t parts);
+
   std::uint32_t parts() const {
     return static_cast<std::uint32_t>(starts_.size() - 1);
   }
@@ -45,6 +52,9 @@ class RangePartitioner {
   std::size_t size_of(std::uint32_t p) const {
     return end_of(p) - start_of(p);
   }
+
+  /// The whole key array the ranges index.
+  std::span<const key_t> keys() const { return keys_; }
 
   /// The slice of the key array owned by partition `p`.
   std::span<const key_t> keys_of(std::uint32_t p) const {

@@ -16,16 +16,6 @@ bool parse_placement(const std::string& name, Placement* out) {
   return false;
 }
 
-namespace {
-
-PlacedShards::AlignedKeys aligned_keys(std::size_t n) {
-  void* p = ::operator new[](std::max<std::size_t>(1, n) * sizeof(key_t),
-                             std::align_val_t{64});
-  return PlacedShards::AlignedKeys(static_cast<key_t*>(p));
-}
-
-}  // namespace
-
 PlacedShards::PlacedShards(Placement placement, bool build_eytzinger,
                            const RangePartitioner& partitioner,
                            std::uint32_t nodes)
@@ -57,34 +47,35 @@ PlacedShards::PlacedShards(Placement placement, bool build_eytzinger,
 
 void PlacedShards::allocate_replica(std::uint32_t node) {
   if (placement_ != Placement::kReplicate) return;
-  replicas_[node] = aligned_keys(partitioner_.end_of(shards_ - 1));
+  replicas_[node] = allocate_keys(partitioner_.end_of(shards_ - 1));
 }
 
-void PlacedShards::build_shard_local(std::uint32_t shard) {
-  const std::span<const key_t> part = partitioner_.keys_of(shard);
-  local_keys_[shard] = aligned_keys(part.size());
-  std::copy(part.begin(), part.end(), local_keys_[shard].get());
-  if (build_eytzinger_)
-    layouts_[shard] = EytzingerLayout(
-        std::span<const key_t>(local_keys_[shard].get(), part.size()));
-}
-
-void PlacedShards::build_share(std::uint32_t node, std::uint32_t worker,
+void PlacedShards::build_share(std::span<const key_t> source,
+                               std::uint32_t node, std::uint32_t worker,
                                std::uint32_t total_workers,
                                std::uint32_t worker_on_node,
                                std::uint32_t workers_on_node) {
   DICI_CHECK(total_workers >= 1 && workers_on_node >= 1);
+  DICI_CHECK(source.size() == partitioner_.end_of(shards_ - 1));
+  const auto slice = [&](std::uint32_t s) {
+    return source.subspan(partitioner_.start_of(s), partitioner_.size_of(s));
+  };
   switch (placement_) {
     case Placement::kInterleave:
-      // One shared copy; the first worker overall builds the (shared)
-      // layouts — same pages as before placement existed.
-      if (build_eytzinger_ && worker == 0)
-        for (std::uint32_t s = 0; s < shards_; ++s)
-          layouts_[s] = EytzingerLayout(partitioner_.keys_of(s));
+      // One shared copy (the Index's); each owner lays out its shards.
+      if (build_eytzinger_)
+        for (std::uint32_t s = worker; s < shards_; s += total_workers)
+          layouts_[s] = EytzingerLayout(slice(s));
       return;
     case Placement::kNodeLocal:
-      for (std::uint32_t s = worker; s < shards_; s += total_workers)
-        build_shard_local(s);
+      for (std::uint32_t s = worker; s < shards_; s += total_workers) {
+        const std::span<const key_t> part = slice(s);
+        local_keys_[s] = allocate_keys(part.size());
+        std::copy(part.begin(), part.end(), local_keys_[s].get());
+        if (build_eytzinger_)
+          layouts_[s] = EytzingerLayout(
+              std::span<const key_t>(local_keys_[s].get(), part.size()));
+      }
       return;
     case Placement::kReplicate: {
       DICI_CHECK_MSG(replicas_[node] != nullptr,
@@ -95,13 +86,12 @@ void PlacedShards::build_share(std::uint32_t node, std::uint32_t worker,
       key_t* replica = replicas_[node].get();
       for (std::uint32_t s = worker_on_node; s < shards_;
            s += workers_on_node) {
-        const std::span<const key_t> part = partitioner_.keys_of(s);
-        std::copy(part.begin(), part.end(),
-                  replica + partitioner_.start_of(s));
+        const std::span<const key_t> part = slice(s);
+        key_t* copy = replica + partitioner_.start_of(s);
+        std::copy(part.begin(), part.end(), copy);
         if (build_eytzinger_)
           layouts_[static_cast<std::size_t>(node) * shards_ + s] =
-              EytzingerLayout(std::span<const key_t>(
-                  replica + partitioner_.start_of(s), part.size()));
+              EytzingerLayout(std::span<const key_t>(copy, part.size()));
       }
       return;
     }
@@ -109,15 +99,16 @@ void PlacedShards::build_share(std::uint32_t node, std::uint32_t worker,
 }
 
 void PlacedShards::build_all() {
+  const std::span<const key_t> source = partitioner_.keys();
   if (placement_ == Placement::kReplicate) {
     for (std::uint32_t node = 0; node < nodes_; ++node) {
       allocate_replica(node);
-      build_share(node, /*worker=*/0, /*total_workers=*/1,
+      build_share(source, node, /*worker=*/0, /*total_workers=*/1,
                   /*worker_on_node=*/0, /*workers_on_node=*/1);
     }
     return;
   }
-  build_share(/*node=*/0, /*worker=*/0, /*total_workers=*/1,
+  build_share(source, /*node=*/0, /*worker=*/0, /*total_workers=*/1,
               /*worker_on_node=*/0, /*workers_on_node=*/1);
 }
 
@@ -156,7 +147,7 @@ std::uint64_t PlacedShards::placed_key_bytes() const {
       // Count replicas actually reserved — the engine skips nodes that
       // own no worker, whose replica would never be probed.
       std::uint64_t allocated = 0;
-      for (const AlignedKeys& replica : replicas_)
+      for (const KeyArray& replica : replicas_)
         allocated += replica != nullptr;
       return allocated * n * sizeof(key_t);
     }

@@ -8,8 +8,8 @@
 // and hands every (node, shard) pair the right view:
 //
 //  * kInterleave — the pre-placement baseline: one shared sorted copy
-//    (the Index's), Eytzinger copies built by one thread. Pages land
-//    wherever that thread happened to run; remote for most workers.
+//    (the Index's), each shard's Eytzinger copy built by the shard's
+//    owner. No mode-specific copies; on one socket this is all of them.
 //  * kNodeLocal — each shard's sorted + Eytzinger copies are built BY
 //    the worker that owns the shard, on its pinned thread: first touch
 //    places the pages on the owner's node. Same-node probes for owned
@@ -23,10 +23,12 @@
 // allocate_replica for every node (allocation touches no data pages),
 // then every pinned worker calls build_share(...) exactly once before
 // the engine's build barrier opens. Shares are disjoint (a worker
-// copies and lays out only its own shards' ranges), so the build needs
-// no locks; the barrier publishes every copy to every worker. All three modes return bit-identical
-// ranks — placement moves bytes, never answers — which is what the
-// scenario matrix's placement axis verifies.
+// copies and lays out only its own shards' ranges) and read only the
+// caller's keys, never another worker's copy in progress, so the build
+// needs no locks; the barrier publishes every copy to every worker.
+// All three modes return bit-identical ranks — placement moves bytes,
+// never answers — which is what the scenario matrix's placement axis
+// verifies.
 //
 // Placement is a BUILD-time property: when the v3 write path
 // (core/store.hpp) folds its delta into a fresh Index generation, the
@@ -37,14 +39,13 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/index/eytzinger.hpp"
 #include "src/index/partitioner.hpp"
+#include "src/util/key_array.hpp"
 #include "src/util/types.hpp"
 
 namespace dici::index {
@@ -101,14 +102,18 @@ class PlacedShards {
   /// Build the calling worker's share of the copies — on the worker's
   /// pinned thread, so first touch places the pages. Called exactly
   /// once per worker, before any sorted_of/layout_of read (the engine's
-  /// build barrier enforces the ordering).
+  /// build barrier enforces the ordering). Every copy is made from
+  /// `source`: the whole key array the partitioner's ranges index,
+  /// equal to the partitioner's keys (which may still be being filled
+  /// from it by other workers).
   ///
   /// `worker` (of `total_workers`) owns shards s with
-  /// s % total_workers == worker (kNodeLocal's share);
+  /// s % total_workers == worker (kInterleave's and kNodeLocal's share);
   /// `worker_on_node` (of `workers_on_node`) is its rank among the
   /// workers sharing `node`, which kReplicate uses to split the node
   /// replica's shards.
-  void build_share(std::uint32_t node, std::uint32_t worker,
+  void build_share(std::span<const key_t> source, std::uint32_t node,
+                   std::uint32_t worker,
                    std::uint32_t total_workers, std::uint32_t worker_on_node,
                    std::uint32_t workers_on_node);
 
@@ -133,18 +138,7 @@ class PlacedShards {
   /// charged to the kernel choice, not the placement).
   std::uint64_t placed_key_bytes() const;
 
-  /// 64-byte-aligned uninitialized key storage whose allocation touches
-  /// no data pages (first write places them). Exposed for the deleter.
-  struct AlignedDelete {
-    void operator()(key_t* p) const {
-      ::operator delete[](p, std::align_val_t{64});
-    }
-  };
-  using AlignedKeys = std::unique_ptr<key_t[], AlignedDelete>;
-
  private:
-  void build_shard_local(std::uint32_t shard);
-
   Placement placement_;
   bool build_eytzinger_;
   const RangePartitioner& partitioner_;
@@ -153,10 +147,10 @@ class PlacedShards {
 
   /// kNodeLocal: per-shard sorted copies (64-byte aligned, first-touched
   /// by the owner). Sized up front; slots written only by their owner.
-  std::vector<AlignedKeys> local_keys_;
+  std::vector<KeyArray> local_keys_;
   /// kReplicate: one full sorted copy per node, slices first-touched by
   /// that node's workers.
-  std::vector<AlignedKeys> replicas_;
+  std::vector<KeyArray> replicas_;
   /// kInterleave/kNodeLocal: one layout per shard. kReplicate: one per
   /// (node, shard), indexed node * shards_ + shard. Empty when
   /// !build_eytzinger_.

@@ -172,7 +172,7 @@ struct MatrixOptions {
   /// and the cluster switch their C-3 slave code per kernel; the simulator's
   /// cost model abstracts comparator behaviour, so its kernel cells
   /// verify that the answer is invariant, not that timing moves.
-  std::vector<core::SearchKernel> kernels = {core::SearchKernel::kBranchless};
+  std::vector<core::SearchKernel> kernels = {core::kDefaultSearchKernel};
   /// Shard placements swept per kernel (the placement axis).
   /// Parallel-native lays shards out per NUMA node and the cluster
   /// backend assigns shard replicas to nodes, so those two sweep the

@@ -279,6 +279,19 @@ TEST(ClusterEngine, DrainOnDestroySurvivesNodeFailure) {
   SUCCEED();
 }
 
+/// Poll `node`'s membership status until it reads `want` or `within`
+/// runs out.
+bool wait_for_status(
+    const core::Index& index, std::uint32_t node, NodeStatus want,
+    std::chrono::milliseconds within = std::chrono::seconds(4)) {
+  const auto deadline = std::chrono::steady_clock::now() + within;
+  for (;;) {
+    if (cluster_node_status(index, node) == want) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 // --- Failover: a death under kReplicate is invisible to callers -----------
 
 TEST(ClusterEngine, FailoverCompletesBatchesWhenNodeDiesUnderReplicate) {
@@ -311,7 +324,13 @@ TEST(ClusterEngine, FailoverCompletesBatchesWhenNodeDiesUnderReplicate) {
   }
   EXPECT_GT(failovers, 0u) << "node 1 died mid-stream; some chunk must "
                               "have been re-routed";
-  EXPECT_EQ(cluster_node_status(*index, 1), NodeStatus::kDead);
+  // Retries re-route the dead node's chunks without waiting for the
+  // heartbeat verdict, so the batches can all finish before the timeout
+  // expires: give the verdict a few timeouts to land.
+  EXPECT_TRUE(wait_for_status(
+      *index, 1, NodeStatus::kDead,
+      4 * std::chrono::milliseconds(cfg.heartbeat_timeout_ms)))
+      << "node 1 was killed; its heartbeat silence must mark it DEAD";
   // The survivors keep serving.
   std::vector<rank_t> after;
   client->wait(client->submit(fx.queries, &after));
@@ -348,15 +367,6 @@ TEST(ClusterEngine, NoFailoverConfigStillFailsFast) {
 }
 
 // --- Re-join: DEAD -> JOINING -> ALIVE with shards re-scattered -----------
-
-bool wait_for_status(const core::Index& index, std::uint32_t node,
-                     NodeStatus want) {
-  for (int i = 0; i < 800; ++i) {
-    if (cluster_node_status(index, node) == want) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return false;
-}
 
 TEST(ClusterEngine, KillRejoinRescatterServeLifecycle) {
   // The full recovery story on the placement with NO surviving replica:

@@ -7,8 +7,10 @@
 // destroying a client with tickets still in flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 
 #include "src/core/engine.hpp"
 #include "src/core/parallel_engine.hpp"
@@ -391,6 +393,39 @@ TEST(EngineV2, EmptyQueryBatch) {
     ASSERT_EQ(ranks[i], fx.expected[i]);
   EXPECT_EQ(client->batches(), 2u);
   EXPECT_EQ(client->total().num_queries, 100u);
+}
+
+TEST(EngineV2Death, EveryBackendsBuildRejectsUnsortedKeys) {
+  // parallel-native checks the order in its workers, one shard slice
+  // each, so a descent at a shard boundary is only caught by checking a
+  // slice against the key before it. Both kinds must die on every
+  // backend, with and without an Eytzinger layout to build.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto& fx = fixture();
+  ExperimentConfig cfg;
+  cfg.method = Method::kC3;
+  cfg.machine = arch::pentium3_cluster();
+  cfg.num_nodes = 4;  // three slaves: shard 1 starts at n / 3
+  const std::size_t boundary = fx.keys.size() / 3;
+  std::vector<key_t> inside = fx.keys;
+  std::swap(inside[boundary / 2], inside[boundary / 2 + 1]);
+  std::vector<key_t> at_boundary = fx.keys;
+  at_boundary[boundary] = at_boundary[boundary - 1] - 1;
+  ASSERT_TRUE(std::is_sorted(at_boundary.begin(), at_boundary.begin() +
+                                                      boundary));
+  ASSERT_TRUE(std::is_sorted(at_boundary.begin() + boundary,
+                             at_boundary.end()));
+  for (const SearchKernel kernel :
+       {SearchKernel::kBranchless, SearchKernel::kBatchedEytzinger}) {
+    cfg.kernel = kernel;
+    for (const Backend backend : kAllBackends) {
+      const auto engine = make_engine(backend, cfg);
+      EXPECT_DEATH(engine->build(inside), "sorted")
+          << backend_name(backend) << " " << search_kernel_name(kernel);
+      EXPECT_DEATH(engine->build(at_boundary), "sorted")
+          << backend_name(backend) << " " << search_kernel_name(kernel);
+    }
+  }
 }
 
 TEST(EngineV2Death, WaitTwiceAborts) {

@@ -99,6 +99,24 @@ TEST(KernelEquivalence, DuplicateRuns) {
   std::vector<key_t> queries;
   for (key_t q = 0; q <= 10; ++q) queries.push_back(q);
   expect_all_kernels_agree(keys, queries);
+  // Runs of 1 to 9 equal keys, at sizes that leave the
+  // Eytzinger bottom level nearly empty, half full and full, so the
+  // slot-to-rank arithmetic meets duplicates on both sides of 2L.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{65},
+                              std::size_t{96}, std::size_t{127},
+                              std::size_t{1000}}) {
+    keys.assign(n, 0);
+    key_t value = 2;
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t run = 1 + i % 9;
+      for (std::size_t j = 0; j < run && i < n; ++j) keys[i++] = value;
+      value += 2;
+    }
+    queries.clear();
+    for (key_t q = 0; q <= value; ++q) queries.push_back(q);
+    for (const std::uint32_t width : {1u, 5u, kDefaultInterleave})
+      expect_all_kernels_agree(keys, queries, width);
+  }
 }
 
 TEST(KernelEquivalence, QueriesBelowAndAboveTheRange) {
@@ -152,6 +170,44 @@ TEST(EytzingerLayout, IsAPermutationWithExactRanks) {
   EXPECT_EQ(layout.rank_of_slot(0), keys.size());
   // The BFS array is 64-byte aligned so the 4-level prefetch is one line.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(layout.slots()) % 64, 0u);
+}
+
+/// The oracle: the inorder walk of the implicit tree (children of k at
+/// 2k and 2k + 1) visits slots in sorted order, so the walk's counter
+/// is each slot's rank.
+void inorder_ranks(std::size_t n, std::size_t k, std::vector<rank_t>& ranks,
+                   rank_t& next) {
+  if (k > n) return;
+  inorder_ranks(n, 2 * k, ranks, next);
+  ranks[k] = next++;
+  inorder_ranks(n, 2 * k + 1, ranks, next);
+}
+
+void expect_layout_matches_walk(std::size_t n) {
+  std::vector<key_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<key_t>(3 * i + 1);
+  const EytzingerLayout layout(keys);
+  ASSERT_EQ(layout.size(), n);
+  std::vector<rank_t> ranks(n + 1);
+  rank_t next = 0;
+  inorder_ranks(n, 1, ranks, next);
+  ASSERT_EQ(next, n);
+  ASSERT_EQ(layout.rank_of_slot(0), n) << "n=" << n;
+  for (std::size_t k = 1; k <= n; ++k) {
+    ASSERT_EQ(layout.rank_of_slot(k), ranks[k]) << "n=" << n << " slot " << k;
+    ASSERT_EQ(layout.slots()[k], keys[ranks[k]]) << "n=" << n << " slot " << k;
+  }
+}
+
+TEST(EytzingerLayout, RankOfSlotMatchesInorderWalkForEverySmallSize) {
+  for (std::size_t n = 0; n <= 2048; ++n) expect_layout_matches_walk(n);
+}
+
+TEST(EytzingerLayout, RankOfSlotMatchesInorderWalkAroundAPowerOfTwo) {
+  // 2^20 - 1 is a perfect tree; 2^20 + 1 leaves two keys on a bottom
+  // level of 2^20 slots.
+  expect_layout_matches_walk((std::size_t{1} << 20) - 1);
+  expect_layout_matches_walk((std::size_t{1} << 20) + 1);
 }
 
 TEST(EytzingerLayout, LevelsMatchBitWidth) {

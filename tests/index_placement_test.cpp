@@ -145,7 +145,8 @@ TEST(PlacedShards, SplitShareBuildMatchesBuildAll) {
     for (std::uint32_t node = 0; node < 2; ++node)
       split.allocate_replica(node);
     for (std::uint32_t w = 0; w < 4; ++w)
-      split.build_share(/*node=*/w % 2, /*worker=*/w, /*total_workers=*/4,
+      split.build_share(keys, /*node=*/w % 2, /*worker=*/w,
+                        /*total_workers=*/4,
                         /*worker_on_node=*/w / 2, /*workers_on_node=*/2);
     for (std::uint32_t node = 0; node < 2; ++node)
       for (std::uint32_t s = 0; s < partitioner.parts(); ++s) {

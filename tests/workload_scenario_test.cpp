@@ -108,7 +108,7 @@ TEST(ScenarioMatrix, DefaultPlacementAxisIsInterleave) {
   EXPECT_EQ(cells[0].placement, "interleave");
 }
 
-TEST(ScenarioMatrix, DefaultKernelAxisIsBranchless) {
+TEST(ScenarioMatrix, DefaultKernelAxisIsTheDefaultKernel) {
   ScenarioRegistry registry;
   ScenarioSpec spec;
   spec.name = "tiny";
@@ -120,9 +120,10 @@ TEST(ScenarioMatrix, DefaultKernelAxisIsBranchless) {
   options.backends = {core::Backend::kParallelNative};
   const auto cells = run_scenario_matrix(registry, options);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].kernel, "branchless");
+  EXPECT_EQ(cells[0].kernel, "batched-eytzinger");
   const std::string json = matrix_to_json(cells);
-  EXPECT_NE(json.find("\"kernel\": \"branchless\""), std::string::npos);
+  EXPECT_NE(json.find("\"kernel\": \"batched-eytzinger\""),
+            std::string::npos);
 }
 
 TEST(ScenarioMatrix, PipelinedCellsStayRankExact) {
