@@ -8,8 +8,8 @@
 //     and batch-sized frames; half the round trip is the measured
 //     per-message overhead, printed next to the Myrinet model's
 //     message_ps for the same byte count. This is the honesty check the
-//     simulator never had to pass: all four in-host transports (ring,
-//     socketpair, the fork-inherited socketpair, loopback TCP) land
+//     simulator never had to pass: all three in-host transports
+//     (socketpair, the fork-inherited socketpair, loopback TCP) land
 //     around or under the modeled 7us Myrinet message.
 //  2. The serving sweep: every (nodes, placement, distribution,
 //     transport) cell streams the full query set through one pipelined
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(2, quick ? 4 : cli.get_int("maxnodes")));
 
   constexpr net::TransportKind kTransports[] = {
-      net::TransportKind::kRing, net::TransportKind::kSocket,
-      net::TransportKind::kFork, net::TransportKind::kTcp};
+      net::TransportKind::kSocket, net::TransportKind::kFork,
+      net::TransportKind::kTcp};
 
   bench::print_header(
       "AB-cluster — serialized-frame backend vs the paper's link model",
@@ -182,11 +182,10 @@ int main(int argc, char** argv) {
         "\n  'modeled' is LinkModel::message_ps on the paper's Myrinet\n"
         "  (7 us latency + bytes/W2): the in-host transports undercut it —\n"
         "  the gap a real NIC hop would close. Ping-pong is the transports'\n"
-        "  worst case (one condvar park/wake per bounce, no pipelining);\n"
-        "  under streamed load the ring's per-frame cost drops well below\n"
-        "  this. fork and tcp move the same wire-v2 bytes through the\n"
-        "  kernel's socket layer — in the sweep below those cells cross a\n"
-        "  real process boundary into spawned dici_node children.\n\n");
+        "  worst case (one poll wake-up per bounce, no pipelining). All\n"
+        "  three move the same wire-v2 bytes through the kernel's socket\n"
+        "  layer — in the sweep below the fork and tcp cells cross a real\n"
+        "  process boundary into spawned dici_node children.\n\n");
   }
 
   // --- Part 2: the serving sweep ------------------------------------------

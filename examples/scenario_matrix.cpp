@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
   cli.add_int("nodes", "cluster size (1 master + slaves)", 5);
   cli.add_string("backends", std::string("comma list of ") +
                  core::kBackendChoices + ", or 'all'", "all");
-  cli.add_string("transport", "frame transport for cluster cells: "
-                 "ring|socket|fork|tcp (fork/tcp spawn real dici_node "
-                 "processes)", "ring");
+  cli.add_string("transport", std::string("frame transport for cluster "
+                 "cells: ") + net::kTransportChoices + " (fork/tcp spawn "
+                 "real dici_node processes)", "socket");
   cli.add_string("kernels", std::string("comma list of ") +
                  index::kSearchKernelChoices + ", or 'all'", "all");
   cli.add_string("placements", "comma list of "

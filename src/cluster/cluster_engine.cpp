@@ -18,7 +18,6 @@
 #include "src/index/partitioner.hpp"
 #include "src/net/fd_endpoint.hpp"
 #include "src/util/assert.hpp"
-#include "src/util/rng.hpp"
 #include "src/util/timer.hpp"
 
 namespace dici::cluster {
@@ -58,10 +57,8 @@ ClusterEngine::ClusterEngine(const ClusterConfig& config) : config_(config) {
       "heartbeat_interval_ms = %u: the timeout must be at least twice the "
       "interval, or one delayed beat kills a healthy node",
       config_.heartbeat_timeout_ms, config_.heartbeat_interval_ms);
-  DICI_CHECK_FMT(config_.retry_backoff_us >= 1,
-                 "ClusterConfig::retry_backoff_us = %u: the retry sweeper "
-                 "needs a nonzero base backoff",
-                 config_.retry_backoff_us);
+  core::check_retry_knobs("ClusterConfig", config_.max_retries,
+                          config_.retry_backoff_us);
 }
 
 ClusterConfig cluster_config_from(const core::ExperimentConfig& config) {
@@ -100,15 +97,16 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using namespace std::chrono_literals;
 
-/// Build-phase patience (join handshake, build acks): a node that can't
-/// answer within this during build is a bug, and build has no error
-/// channel — it aborts loudly.
+/// Build-phase patience: the deadline for the whole join ladder (every
+/// node's join handshake, shard scatter and build ack) and for each tcp
+/// child's connect. A node that misses it during build is a bug, and
+/// build has no error channel — it aborts loudly.
 constexpr auto kBuildTimeout = 30s;
 
-/// Re-join patience. Unlike build, a re-join has an error channel (it
-/// returns false and the node goes back to DEAD), so it can afford to
-/// give up fast — e.g. when the operator re-joins into a still-
-/// partitioned link.
+/// Re-join patience, for the same ladder on one node. Unlike build, a
+/// re-join has an error channel (it returns false and the node goes
+/// back to DEAD), so it can afford to give up fast — e.g. when the
+/// operator re-joins into a still-partitioned link.
 constexpr auto kRejoinTimeout = 5s;
 
 /// Keys per kBuildShard chunk. 4 MiB of payload per frame — far under
@@ -135,8 +133,9 @@ struct RecoveryLedger {
 /// lets through. All fields are guarded by the owning submission's
 /// chunk_mu.
 struct Chunk {
-  net::Frame frame;           ///< encoded kQueryBatch (epoch re-stamped per send)
+  net::Frame frame;           ///< encoded kQueryBatch (each send stamps a copy)
   std::uint32_t shard = 0;    ///< kGlobalShard under kReplicate
+  std::uint32_t queries = 0;  ///< queries the chunk carries (= a reply's ids)
   std::uint32_t node = 0;     ///< current assignment
   std::uint32_t attempts = 0; ///< sends on the current assignment
   std::uint32_t hops = 0;     ///< failover re-assignments so far
@@ -145,16 +144,18 @@ struct Chunk {
 };
 
 /// Completion record for one submitted batch. `outstanding` starts at 1
-/// (the submitter's hold) plus one per chunk; every chunk finishes
+/// (the submitter's hold) plus one per chunk, plus one while sends
+/// decided under chunk_mu are in flight (flush_sends); every chunk finishes
 /// EXACTLY once — claimed by the first reply carrying its id, or
 /// written off by the failure path when no replica survives — so the
 /// countdown is immune to duplicated, delayed, and re-sent frames.
 ///
 /// Locking: chunk_mu guards the chunk table, the per-node stat slots,
-/// and the sent-side counters (every send — submitter, sweeper,
-/// failover — happens under it, as does every reply claim). Lock order:
-/// chunk_mu -> link tx (innermost); subs_mu_ is only ever taken with
-/// chunk_mu RELEASED.
+/// and the sent-side counters. Every decision to send (submitter,
+/// sweeper, failover) and every reply claim happens under it, but no
+/// send does: a send can block on a full link, and the node's receiver
+/// needs chunk_mu to drain the replies that make room. Neither a link's
+/// tx nor subs_mu_ is ever taken with chunk_mu held.
 struct ClusterSubmission {
   ClusterSubmission(std::uint64_t id_, std::uint32_t num_nodes,
                     bool track_latency_)
@@ -267,21 +268,21 @@ class ClusterIndex : public Index {
                                         keys().size())),
         membership_(config.num_nodes),
         links_(config.num_nodes),
+        nodes_(config.num_nodes),
         ledger_(std::make_shared<RecoveryLedger>()) {
     const std::uint32_t N = config_.num_nodes;
     if (config_.faults.enabled())
       controller_ = std::make_shared<net::FaultController>();  // healed
-    nodes_.reserve(N);
+    std::vector<std::uint32_t> all(N);
     for (std::uint32_t i = 0; i < N; ++i) {
-      auto spawned = spawn_node(i, /*epoch=*/1);
+      all[i] = i;
       links_[i] = std::make_unique<Link>();
-      links_[i]->endpoint = std::move(spawned.endpoint);
-      nodes_.push_back(std::move(spawned.peer));
+      std::string error;
+      DICI_CHECK_FMT(attach_node(i, kBuildTimeout, &error),
+                     "cluster build: %s", error.c_str());
     }
-    join_all();
-    broadcast_cluster_info();
-    scatter_shards();
-    await_build_acks();
+    const std::string failure = join_ladder(all, kBuildTimeout);
+    DICI_CHECK_FMT(failure.empty(), "cluster build: %s", failure.c_str());
     broadcast_cluster_info();
     // The build ran on a clean wire; only now do the configured faults
     // start biting (build retries are deliberately not a thing).
@@ -328,8 +329,11 @@ class ClusterIndex : public Index {
     return controller_;
   }
 
-  /// Test hook: silence node `i` as if its machine lost power.
-  void kill_node(std::uint32_t i) const { nodes_[i]->kill(); }
+  /// Test hook: silence node `i` as if its machine lost power. A slot
+  /// whose re-join never spawned a node has nothing to silence.
+  void kill_node(std::uint32_t i) const {
+    if (nodes_[i] != nullptr) nodes_[i]->kill();
+  }
 
   /// The spawned children's pids (empty for in-process transports).
   std::vector<int> node_pids() const {
@@ -375,171 +379,190 @@ class ClusterIndex : public Index {
         static_cast<std::uint64_t>(config_.retry_backoff_us) << shift);
   }
 
-  /// A fresh transport pair for node `i`, fault-decorated when the
-  /// config asks for it. The injection seed is salted with node and
-  /// epoch, so every link — and every re-join incarnation of a link —
-  /// draws its own reproducible schedule from one config seed.
-  std::pair<std::unique_ptr<net::Endpoint>, std::unique_ptr<net::Endpoint>>
-  make_link(std::uint32_t i, std::uint32_t epoch) const {
-    auto [coordinator_end, node_end] =
-        net::make_transport_pair(config_.transport);
-    if (controller_ == nullptr)
-      return {std::move(coordinator_end), std::move(node_end)};
-    std::uint64_t state =
-        config_.faults.seed ^ (0x9e3779b97f4a7c15ull * (i + 1) + epoch);
-    const std::uint64_t to_node_seed = splitmix64(state);
-    const std::uint64_t to_coordinator_seed = splitmix64(state);
-    auto coordinator = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(coordinator_end), controller_,
-        net::FaultInjectingEndpoint::Direction::kToNode,
-        config_.faults.to_node, to_node_seed);
-    auto node = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(node_end), controller_,
-        net::FaultInjectingEndpoint::Direction::kToCoordinator,
-        config_.faults.to_coordinator, to_coordinator_seed);
-    return {std::move(coordinator), std::move(node)};
-  }
-
-  /// Fault decoration for a process link, where only the coordinator's
-  /// end of the wire lives in this address space: the node-bound rates
-  /// inject on send (as usual), and the coordinator-bound rates inject
-  /// at INTAKE (Mode::kRecvSide) on the same endpoint — so the child's
-  /// traffic faces the same schedule an in-process node's would,
-  /// drawn from the identical node/epoch-salted seeds.
-  std::unique_ptr<net::Endpoint> decorate_coordinator_end(
-      std::unique_ptr<net::Endpoint> raw, std::uint32_t i,
-      std::uint32_t epoch) const {
-    if (controller_ == nullptr) return raw;
-    std::uint64_t state =
-        config_.faults.seed ^ (0x9e3779b97f4a7c15ull * (i + 1) + epoch);
-    const std::uint64_t to_node_seed = splitmix64(state);
-    const std::uint64_t to_coordinator_seed = splitmix64(state);
-    auto intake = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(raw), controller_,
-        net::FaultInjectingEndpoint::Direction::kToCoordinator,
-        config_.faults.to_coordinator, to_coordinator_seed,
-        net::FaultInjectingEndpoint::Mode::kRecvSide);
-    return std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(intake), controller_,
-        net::FaultInjectingEndpoint::Direction::kToNode,
-        config_.faults.to_node, to_node_seed);
-  }
-
   /// One node slot, spawned per the configured transport: the
-  /// coordinator's (fault-decorated) endpoint plus the peer handle it
-  /// can kill and destroy. Shared by the constructor and re-join, so a
-  /// re-joined process node is a genuinely fresh child.
+  /// coordinator's end of the link plus the peer handle it can kill and
+  /// destroy. Shared by the constructor and re-join, so a re-joined
+  /// process node is a genuinely fresh child. A null endpoint means the
+  /// node never came up: the spawn failed, or a tcp child never
+  /// connected back within `timeout` (diagnostic in *error).
   struct SpawnedNode {
     std::unique_ptr<net::Endpoint> endpoint;
     std::unique_ptr<NodePeer> peer;
   };
 
-  SpawnedNode spawn_node(std::uint32_t i, std::uint32_t epoch) const {
-    if (net::transport_is_process(config_.transport)) {
-      const std::string binary = config_.node_binary.empty()
-                                     ? ProcessNode::default_binary()
-                                     : config_.node_binary;
-      std::unique_ptr<net::Endpoint> raw;
-      std::unique_ptr<NodePeer> peer;
-      if (config_.transport == net::TransportKind::kFork) {
-        int fds[2];
-        net::cloexec_socketpair(fds);
-        peer = ProcessNode::spawn_fd(binary, i, fds[1]);
-        raw = std::make_unique<net::FdEndpoint>(fds[0]);
-      } else {
-        net::TcpListener listener;
-        peer = ProcessNode::spawn_connect(binary, i, listener.port());
-        std::string error;
-        raw = listener.accept(kBuildTimeout, &error);
-        DICI_CHECK_FMT(raw != nullptr,
-                       "cluster build: spawned node %u never connected back "
-                       "to the coordinator's listener (%s)",
-                       i, error.c_str());
-      }
-      return {decorate_coordinator_end(std::move(raw), i, epoch),
-              std::move(peer)};
+  SpawnedNode spawn_node(std::uint32_t i, Clock::duration timeout,
+                         std::string* error) const {
+    if (!net::transport_is_process(config_.transport)) {
+      auto [coordinator_end, node_end] =
+          net::make_transport_pair(config_.transport);
+      return {std::move(coordinator_end),
+              std::make_unique<ClusterNode>(i, std::move(node_end))};
     }
-    auto [coordinator_end, node_end] = make_link(i, epoch);
-    return {std::move(coordinator_end),
-            std::make_unique<ClusterNode>(i, std::move(node_end))};
+    const std::string binary = config_.node_binary.empty()
+                                   ? ProcessNode::default_binary()
+                                   : config_.node_binary;
+    if (config_.transport == net::TransportKind::kFork) {
+      int fds[2];
+      net::cloexec_socketpair(fds);
+      auto endpoint = std::make_unique<net::FdEndpoint>(fds[0]);
+      auto peer = ProcessNode::spawn_fd(binary, i, fds[1], error);
+      if (peer == nullptr) return {};
+      return {std::move(endpoint), std::move(peer)};
+    }
+    net::TcpListener listener;
+    auto peer = ProcessNode::spawn_connect(binary, i, listener.port(), error);
+    if (peer == nullptr) return {};
+    std::string accept_error;
+    auto endpoint = listener.accept(timeout, &accept_error);
+    if (endpoint == nullptr) {
+      *error = "spawned node " + std::to_string(i) +
+               " never connected back to the coordinator's listener (" +
+               accept_error + ")";
+    }
+    return {std::move(endpoint), std::move(peer)};
   }
 
-  // --- Build phase (constructor, and re-join's re-scatter) ----------------
+  /// Give node slot `i` a fresh node on a fresh link for the link's
+  /// current epoch, fault-decorated at the coordinator's end when the
+  /// config injects faults. False (diagnostic in *error) when the node
+  /// never connected.
+  bool attach_node(std::uint32_t i, Clock::duration timeout,
+                   std::string* error) const {
+    SpawnedNode spawned = spawn_node(i, timeout, error);
+    nodes_[i] = std::move(spawned.peer);
+    if (spawned.endpoint == nullptr) return false;
+    if (controller_ != nullptr) {
+      spawned.endpoint = net::decorate_coordinator_end(
+          std::move(spawned.endpoint), controller_, config_.faults, i,
+          links_[i]->epoch.load(std::memory_order_acquire));
+    }
+    // A fresh link is never shared yet: the build has no senders, and a
+    // re-joining link is still `dead`, so no sender touches it until the
+    // node is ALIVE again.
+    std::lock_guard lock(links_[i]->tx);
+    links_[i]->endpoint = std::move(spawned.endpoint);
+    return true;
+  }
 
-  /// Receive the next frame from node `i` during build, skipping (but
-  /// recording) heartbeats. Aborts on timeout/close — build has no
-  /// error channel and a node that dies during build is a bug.
-  net::Frame recv_build_frame(std::uint32_t i) {
+  // --- The join ladder (build, and every re-join) -------------------------
+
+  /// Receive node `i`'s next ladder frame before `deadline`, skipping
+  /// heartbeats (recorded as liveness) and frames the wire damaged.
+  /// Empty on success, else what went wrong.
+  std::string recv_ladder_frame(std::uint32_t i, Clock::time_point deadline,
+                                net::Frame* frame) const {
     for (;;) {
-      net::Frame frame;
+      const auto now = Clock::now();
+      if (now >= deadline)
+        return "node " + std::to_string(i) + " went silent";
       std::string error;
-      const auto result =
-          links_[i]->endpoint->recv(&frame, kBuildTimeout, &error);
-      DICI_CHECK_FMT(result == net::Endpoint::RecvResult::kFrame,
-                     "cluster build: node %u went silent before completing "
-                     "the handshake (recv result %d: %s)",
-                     i, static_cast<int>(result), error.c_str());
-      if (frame.header.msg_type() == net::MsgType::kHeartbeat) {
-        std::lock_guard lock(membership_mu_);
-        membership_.record_alive(i, Clock::now());
-        continue;
+      switch (links_[i]->endpoint->recv(frame, deadline - now, &error)) {
+        case net::Endpoint::RecvResult::kFrame:
+          if (frame->header.msg_type() != net::MsgType::kHeartbeat)
+            return {};
+          {
+            std::lock_guard lock(membership_mu_);
+            membership_.record_alive(i, Clock::now());
+          }
+          continue;
+        case net::Endpoint::RecvResult::kCorrupt:
+          continue;
+        case net::Endpoint::RecvResult::kTimeout:
+          continue;  // the deadline check above reports it
+        case net::Endpoint::RecvResult::kClosed:
+          return "node " + std::to_string(i) + " closed its link";
+        case net::Endpoint::RecvResult::kError:
+          return "node " + std::to_string(i) + " broke the framing (" +
+                 error + ")";
       }
-      return frame;
     }
   }
 
-  void send_control(std::uint32_t i, net::Frame frame) {
+  bool send_ladder_frame(std::uint32_t i, net::Frame frame,
+                         Clock::time_point deadline) const {
     frame.header.epoch = links_[i]->epoch.load(std::memory_order_acquire);
     std::lock_guard lock(links_[i]->tx);
-    const auto result = links_[i]->endpoint->send(frame, kBuildTimeout);
-    DICI_CHECK_FMT(result == net::Endpoint::SendResult::kOk,
-                   "cluster build: send to node %u failed (result %d)", i,
-                   static_cast<int>(result));
+    const auto now = Clock::now();
+    return now < deadline &&
+           links_[i]->endpoint->send(frame, deadline - now) ==
+               net::Endpoint::SendResult::kOk;
   }
 
-  void join_all() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const net::Frame frame = recv_build_frame(i);
+  /// Walk `nodes` up the JOINING -> ACK -> ALIVE ladder on their current
+  /// links within `timeout`: answer each join request with kJoinAck and
+  /// kNodeConfig (the wire IS the configuration channel: an exec'd
+  /// dici_node learns its kernel, cadence and cluster size from it, and
+  /// an in-process node takes the identical path), ship each node's
+  /// shard assignment as chunked kBuildShard frames, then collect each
+  /// build ack. Each phase runs across every node before the next
+  /// starts, so the nodes lay out their shards concurrently. Returns an
+  /// empty string on success, else a diagnostic naming the node and the
+  /// step: the build aborts on it, a re-join returns false.
+  std::string join_ladder(std::span<const std::uint32_t> nodes,
+                          Clock::duration timeout) const {
+    const auto deadline = Clock::now() + timeout;
+    net::Frame frame;
+    std::string error;
+    for (const std::uint32_t i : nodes) {
+      std::string failure = recv_ladder_frame(i, deadline, &frame);
+      if (!failure.empty()) return failure + " before its join request";
       net::JoinRequestMsg request;
-      std::string error;
-      DICI_CHECK_FMT(
-          net::decode_join_request(frame, &request, &error) &&
-              request.node_id == i,
-          "cluster build: node %u sent %s instead of its join request (%s)",
-          i, net::msg_type_name(frame.header.msg_type()), error.c_str());
+      if (!net::decode_join_request(frame, &request, &error) ||
+          request.node_id != i) {
+        return "node " + std::to_string(i) + " sent " +
+               net::msg_type_name(frame.header.msg_type()) +
+               " instead of its join request (" + error + ")";
+      }
       {
         std::lock_guard lock(membership_mu_);
         membership_.transition(i, NodeStatus::kJoining);
         membership_.record_alive(i, Clock::now());
       }
-      send_control(i, net::encode_join_ack(net::kCoordinatorId,
-                                           {i, config_.num_nodes}));
-      // The wire IS the configuration channel: an exec'd dici_node
-      // learns its kernel/cadence/cluster size from this frame, and an
-      // in-process node takes the identical path.
-      send_control(
-          i, net::encode_node_config(net::kCoordinatorId, node_config_msg()));
+      const net::Frame ack = net::encode_join_ack(net::kCoordinatorId,
+                                                  {i, config_.num_nodes});
+      const net::Frame node_config =
+          net::encode_node_config(net::kCoordinatorId, node_config_msg());
+      if (!send_ladder_frame(i, ack, deadline) ||
+          !send_ladder_frame(i, node_config, deadline))
+        return "join ack to node " + std::to_string(i) + " failed to send";
       std::lock_guard lock(membership_mu_);
       membership_.transition(i, NodeStatus::kAck);
     }
-  }
-
-  void broadcast_cluster_info() {
-    net::ClusterInfoMsg info;
-    {
+    for (const std::uint32_t i : nodes) {
+      bool sent = true;
+      const std::uint32_t shards =
+          for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
+            sent = sent &&
+                   send_ladder_frame(
+                       i, net::encode_build_shard(net::kCoordinatorId, msg),
+                       deadline);
+          });
+      if (!sent)
+        return "shard scatter to node " + std::to_string(i) + " failed to send";
       std::lock_guard lock(membership_mu_);
-      info.nodes = membership_.to_entries();
+      membership_.set_shards(i, shards);
     }
-    const net::Frame frame =
-        net::encode_cluster_info(net::kCoordinatorId, info);
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i)
-      send_control(i, frame);
+    for (const std::uint32_t i : nodes) {
+      std::string failure = recv_ladder_frame(i, deadline, &frame);
+      if (!failure.empty()) return failure + " before its build ack";
+      net::BuildAckMsg ack;
+      if (!net::decode_build_ack(frame, &ack, &error)) {
+        return "node " + std::to_string(i) + " sent " +
+               net::msg_type_name(frame.header.msg_type()) +
+               " instead of its build ack (" + error + ")";
+      }
+      std::lock_guard lock(membership_mu_);
+      membership_.transition(i, NodeStatus::kAlive);
+      membership_.record_alive(i, Clock::now());
+    }
+    return {};
   }
 
-  /// Best-effort cluster-info broadcast to the live nodes (used after a
-  /// re-join, when other nodes may be dead and the wire may be faulty —
-  /// a lost broadcast only stales a node's mirror, never correctness).
-  void broadcast_cluster_info_tolerant() const {
+  /// Best-effort cluster-info broadcast to the live nodes, after the
+  /// build and after every re-join. Other nodes may be dead and the wire
+  /// may be faulty: a lost broadcast only stales a node's mirror, never
+  /// correctness.
+  void broadcast_cluster_info() const {
     net::ClusterInfoMsg info;
     {
       std::lock_guard lock(membership_mu_);
@@ -582,9 +605,8 @@ class ClusterIndex : public Index {
 
   /// Enumerate node `i`'s full build-frame sequence (ship order, the
   /// node's final frame last-flagged); returns the shard-replica count
-  /// of the assignment. Shared by the initial scatter and a re-join's
-  /// re-scatter, so a re-joined node is bit-identical to its first
-  /// incarnation.
+  /// of the assignment. A pure function of the node and the index, so a
+  /// re-joined node is bit-identical to its first incarnation.
   template <typename Emit>
   std::uint32_t for_each_build_shard(std::uint32_t i, Emit&& emit) const {
     const std::uint32_t N = config_.num_nodes;
@@ -619,32 +641,6 @@ class ClusterIndex : public Index {
     return static_cast<std::uint32_t>(shards.size());
   }
 
-  void scatter_shards() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const std::uint32_t shards =
-          for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
-            send_control(i, net::encode_build_shard(net::kCoordinatorId, msg));
-          });
-      std::lock_guard lock(membership_mu_);
-      membership_.set_shards(i, shards);
-    }
-  }
-
-  void await_build_acks() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const net::Frame frame = recv_build_frame(i);
-      net::BuildAckMsg ack;
-      std::string error;
-      DICI_CHECK_FMT(
-          net::decode_build_ack(frame, &ack, &error),
-          "cluster build: node %u sent %s instead of its build ack (%s)", i,
-          net::msg_type_name(frame.header.msg_type()), error.c_str());
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAlive);
-      membership_.record_alive(i, Clock::now());
-    }
-  }
-
   // --- Routing -------------------------------------------------------------
 
   /// Pick a live node holding `shard`, preferring anyone but `exclude`
@@ -675,23 +671,57 @@ class ClusterIndex : public Index {
     return owner == exclude ? kNoFailure : owner;
   }
 
-  /// Send `c` to its assigned node (chunk_mu held). A skipped or failed
-  /// send leaves the chunk unanswered — the sweeper or the failure path
-  /// covers it — so this can afford to be fire-and-forget.
-  void send_chunk(ClusterSubmission& sub, Chunk& c) const {
-    Link& link = *links_[c.node];
-    c.frame.header.epoch = link.epoch.load(std::memory_order_acquire);
-    const std::uint64_t frame_bytes =
-        net::kFrameHeaderBytes + c.frame.payload.size();
-    std::lock_guard lock(link.tx);
-    if (link.dead.load(std::memory_order_acquire)) return;  // fail_node re-routes
-    if (link.endpoint->send(c.frame, send_timeout()) !=
-        net::Endpoint::SendResult::kOk)
-      return;
-    sub.messages += 1;
-    sub.wire_bytes += frame_bytes;
-    sub.node_sent[c.node] += 1;
-    sub.node_sent_bytes[c.node] += frame_bytes;
+  /// A chunk send decided under the submission's chunk_mu and performed
+  /// after it is released (flush_sends).
+  struct PendingSend {
+    std::uint32_t node = 0;
+    net::Frame frame;
+  };
+
+  /// Queue `frame` for `node` (chunk_mu held). The first
+  /// send queued for a flush takes a countdown hold on the submission,
+  /// so it cannot complete, and its report be read, before flush_sends
+  /// has counted what went out.
+  static void queue_send(ClusterSubmission& sub, std::uint32_t node,
+                         net::Frame frame, std::vector<PendingSend>& sends) {
+    if (sends.empty()) sub.outstanding.fetch_add(1, std::memory_order_relaxed);
+    sends.push_back({node, std::move(frame)});
+  }
+
+  /// Send `sends` with the submission's chunk_mu released, count the
+  /// frames that went out, and drop the hold queue_send took. A skipped
+  /// or failed send leaves its chunk unanswered — the sweeper or the
+  /// failure path covers it — so this can afford to be fire-and-forget.
+  void flush_sends(ClusterSubmission& sub,
+                   std::vector<PendingSend>& sends) const {
+    if (sends.empty()) return;
+    std::vector<std::uint64_t> sent_bytes(sends.size(), 0);
+    for (std::size_t k = 0; k < sends.size(); ++k) {
+      Link& link = *links_[sends[k].node];
+      net::Frame& frame = sends[k].frame;
+      frame.header.epoch = link.epoch.load(std::memory_order_acquire);
+      std::lock_guard lock(link.tx);
+      // A dead link's chunks are fail_node's to re-route.
+      if (link.dead.load(std::memory_order_acquire)) continue;
+      if (link.endpoint->send(frame, send_timeout()) ==
+          net::Endpoint::SendResult::kOk)
+        sent_bytes[k] = net::kFrameHeaderBytes + frame.payload.size();
+    }
+    {
+      std::lock_guard lock(sub.chunk_mu);
+      for (std::size_t k = 0; k < sends.size(); ++k) {
+        if (sent_bytes[k] == 0) continue;
+        sub.messages += 1;
+        sub.wire_bytes += sent_bytes[k];
+        sub.node_sent[sends[k].node] += 1;
+        sub.node_sent_bytes[sends[k].node] += sent_bytes[k];
+      }
+    }
+    sends.clear();
+    if (sub.finish(1)) {
+      std::lock_guard lock(subs_mu_);
+      pending_.erase(sub.id);
+    }
   }
 
   /// Write a chunk off as unrecoverable (chunk_mu held): no surviving
@@ -730,6 +760,7 @@ class ClusterIndex : public Index {
     }
     for (const auto& sub : subs) {
       std::uint64_t finished = 0;
+      std::vector<PendingSend> sends;
       {
         std::lock_guard lock(sub->chunk_mu);
         for (Chunk& c : sub->chunks) {
@@ -746,13 +777,14 @@ class ClusterIndex : public Index {
           ++c.hops;
           sub->failovers += 1;
           c.next_retry = Clock::now() + backoff_after(1);
-          send_chunk(*sub, c);
+          queue_send(*sub, c.node, c.frame, sends);
         }
       }
       if (finished != 0 && sub->finish(finished)) {
         std::lock_guard lock(subs_mu_);
         pending_.erase(sub->id);
       }
+      flush_sends(*sub, sends);
     }
   }
 
@@ -780,35 +812,52 @@ class ClusterIndex : public Index {
       if (msg.chunk >= sub->chunks.size()) return;
       Chunk& c = sub->chunks[msg.chunk];
       if (c.done) return;  // duplicate / late copy — already claimed
-      c.done = true;
-      c.frame = {};  // the retained request copy is no longer needed
-      claimed = true;
-      // The order-preserving merge: scatter by query id. The claim
-      // under chunk_mu makes this exactly-once however many duplicated
-      // or re-sent copies of the chunk were answered — and whichever
-      // node answered, the ranks are global, so a failover reply lands
-      // identically.
-      for (std::size_t j = 0; j < msg.ids.size(); ++j)
-        sub->out[msg.ids[j]] = msg.ranks[j];
-      sub->node_queries[i] += msg.ids.size();
-      sub->node_busy_ns[i] += msg.busy_ns;
-      sub->node_replies[i] += 1;
-      sub->node_reply_bytes[i] +=
-          net::kFrameHeaderBytes + frame.payload.size();
-      if (sub->track_latency) {
-        // One arrival stamp for the whole reply (its queries' answers
-        // all exist on the coordinator now), read against the submit
-        // stamp.
-        const double resolved_ns = sub->timer.elapsed_ns();
-        if (sub->queued_ns.empty()) {
-          sub->node_latency[i].add_n(resolved_ns, msg.ids.size());
-        } else {
-          for (const std::uint32_t id : msg.ids)
-            sub->node_latency[i].add(resolved_ns + sub->queued_ns[id]);
+      // The ids index the caller's output array, and they come from
+      // another process: a reply that answers a different number of
+      // queries than its chunk carries, or names an id outside the
+      // submission, is a protocol breach like a failed decode. Checked
+      // before anything is written; the chunk stays unclaimed, so
+      // fail_node re-routes or writes it off with the node's others.
+      const bool breach =
+          msg.ids.size() != c.queries ||
+          std::any_of(msg.ids.begin(), msg.ids.end(), [&](std::uint32_t id) {
+            return id >= sub->num_queries;
+          });
+      if (!breach) {
+        c.done = true;
+        c.frame = {};  // the retained request copy is no longer needed
+        claimed = true;
+        // The order-preserving merge: scatter by query id. The claim
+        // under chunk_mu makes this exactly-once however many
+        // duplicated or re-sent copies of the chunk were answered — and
+        // whichever node answered, the ranks are global, so a failover
+        // reply lands identically.
+        for (std::size_t j = 0; j < msg.ids.size(); ++j)
+          sub->out[msg.ids[j]] = msg.ranks[j];
+        sub->node_queries[i] += msg.ids.size();
+        sub->node_busy_ns[i] += msg.busy_ns;
+        sub->node_replies[i] += 1;
+        sub->node_reply_bytes[i] +=
+            net::kFrameHeaderBytes + frame.payload.size();
+        if (sub->track_latency) {
+          // One arrival stamp for the whole reply (its queries' answers
+          // all exist on the coordinator now), read against the submit
+          // stamp.
+          const double resolved_ns = sub->timer.elapsed_ns();
+          if (sub->queued_ns.empty()) {
+            sub->node_latency[i].add_n(resolved_ns, msg.ids.size());
+          } else {
+            for (const std::uint32_t id : msg.ids)
+              sub->node_latency[i].add(resolved_ns + sub->queued_ns[id]);
+          }
         }
       }
     }
-    if (claimed && sub->finish(1)) {
+    if (!claimed) {
+      fail_node(i);  // chunk_mu released: fail_node takes it per submission
+      return;
+    }
+    if (sub->finish(1)) {
       std::lock_guard lock(subs_mu_);
       pending_.erase(sub->id);
     }
@@ -887,129 +936,45 @@ class ClusterIndex : public Index {
         for (auto& [id, sub] : pending_) subs.push_back(sub);
       }
       for (const auto& sub : subs) {
-        std::lock_guard lock(sub->chunk_mu);
-        const auto now = Clock::now();
-        for (Chunk& c : sub->chunks) {
-          if (c.done || now < c.next_retry) continue;
-          if (c.attempts <= config_.max_retries) {
-            // One more nudge at the same assignment.
-            ++c.attempts;
-            sub->retries += 1;
-            c.next_retry = now + backoff_after(c.attempts);
-            send_chunk(*sub, c);
-            continue;
+        std::vector<PendingSend> sends;
+        {
+          std::lock_guard lock(sub->chunk_mu);
+          const auto now = Clock::now();
+          for (Chunk& c : sub->chunks) {
+            if (c.done || now < c.next_retry) continue;
+            if (c.attempts <= config_.max_retries) {
+              // One more nudge at the same assignment.
+              ++c.attempts;
+              sub->retries += 1;
+              c.next_retry = now + backoff_after(c.attempts);
+              queue_send(*sub, c.node, c.frame, sends);
+              continue;
+            }
+            // Retries exhausted: the assignment is suspect. Re-route to
+            // another live replica holder when one exists (hop-capped so
+            // two silent-but-alive nodes can't ping-pong a chunk
+            // forever); otherwise keep polling the sole owner at the
+            // backoff cap until the heartbeat verdict settles it.
+            const std::uint32_t target =
+                config_.failover && c.hops < config_.num_nodes
+                    ? pick_target(c.shard, c.node)
+                    : kNoFailure;
+            if (target != kNoFailure && target != c.node) {
+              c.node = target;
+              c.attempts = 1;
+              ++c.hops;
+              sub->failovers += 1;
+              c.next_retry = now + backoff_after(1);
+            } else {
+              sub->retries += 1;
+              c.next_retry = now + backoff_after(config_.max_retries + 1);
+            }
+            queue_send(*sub, c.node, c.frame, sends);
           }
-          // Retries exhausted: the assignment is suspect. Re-route to
-          // another live replica holder when one exists (hop-capped so
-          // two silent-but-alive nodes can't ping-pong a chunk
-          // forever); otherwise keep polling the sole owner at the
-          // backoff cap until the heartbeat verdict settles it.
-          const std::uint32_t target =
-              config_.failover && c.hops < config_.num_nodes
-                  ? pick_target(c.shard, c.node)
-                  : kNoFailure;
-          if (target != kNoFailure && target != c.node) {
-            c.node = target;
-            c.attempts = 1;
-            ++c.hops;
-            sub->failovers += 1;
-            c.next_retry = now + backoff_after(1);
-          } else {
-            sub->retries += 1;
-            c.next_retry = now + backoff_after(config_.max_retries + 1);
-          }
-          send_chunk(*sub, c);
         }
+        flush_sends(*sub, sends);
       }
     }
-  }
-
-  // --- Re-join -------------------------------------------------------------
-
-  /// Tolerant receive for the re-join handshake: skips heartbeats and
-  /// corrupt frames, false on timeout/close/breach.
-  bool recv_rejoin_frame(std::uint32_t i, net::Frame* frame) const {
-    const auto deadline = Clock::now() + kRejoinTimeout;
-    for (;;) {
-      const auto now = Clock::now();
-      if (now >= deadline) return false;
-      std::string error;
-      switch (links_[i]->endpoint->recv(frame, deadline - now, &error)) {
-        case net::Endpoint::RecvResult::kFrame:
-          if (frame->header.msg_type() == net::MsgType::kHeartbeat) {
-            std::lock_guard lock(membership_mu_);
-            membership_.record_alive(i, Clock::now());
-            continue;
-          }
-          return true;
-        case net::Endpoint::RecvResult::kCorrupt:
-          continue;
-        case net::Endpoint::RecvResult::kTimeout:
-        case net::Endpoint::RecvResult::kClosed:
-        case net::Endpoint::RecvResult::kError:
-          return false;
-      }
-    }
-  }
-
-  bool send_rejoin_frame(std::uint32_t i, net::Frame frame,
-                         std::uint32_t epoch) const {
-    frame.header.epoch = epoch;
-    std::lock_guard lock(links_[i]->tx);
-    return links_[i]->endpoint->send(frame, kRejoinTimeout) ==
-           net::Endpoint::SendResult::kOk;
-  }
-
-  /// The DEAD -> JOINING -> ACK -> ALIVE ladder, walked again on the
-  /// fresh link: join handshake, shard re-scatter, build ack.
-  bool rejoin_handshake(std::uint32_t i, std::uint32_t epoch) const {
-    net::Frame frame;
-    if (!recv_rejoin_frame(i, &frame)) return false;
-    net::JoinRequestMsg request;
-    std::string error;
-    if (!net::decode_join_request(frame, &request, &error) ||
-        request.node_id != i)
-      return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kJoining);
-      membership_.record_alive(i, Clock::now());
-    }
-    if (!send_rejoin_frame(i,
-                           net::encode_join_ack(net::kCoordinatorId,
-                                                {i, config_.num_nodes}),
-                           epoch))
-      return false;
-    if (!send_rejoin_frame(i,
-                           net::encode_node_config(net::kCoordinatorId,
-                                                   node_config_msg()),
-                           epoch))
-      return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAck);
-    }
-    // Re-scatter: the node's original shard assignment, re-shipped as
-    // the same chunked kBuildShard sequence the first build used.
-    bool sent_ok = true;
-    const std::uint32_t shards =
-        for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
-          sent_ok = sent_ok &&
-                    send_rejoin_frame(
-                        i, net::encode_build_shard(net::kCoordinatorId, msg),
-                        epoch);
-        });
-    if (!sent_ok) return false;
-    if (!recv_rejoin_frame(i, &frame)) return false;
-    net::BuildAckMsg ack;
-    if (!net::decode_build_ack(frame, &ack, &error)) return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAlive);
-      membership_.record_alive(i, Clock::now());
-      membership_.set_shards(i, shards);
-    }
-    return true;
   }
 
   std::unique_ptr<Client> do_connect(
@@ -1051,30 +1016,21 @@ bool ClusterIndex::rejoin_node(std::uint32_t i) const {
   if (receivers_[i].joinable()) receivers_[i].join();
   nodes_[i].reset();
 
-  const std::uint32_t epoch =
-      links_[i]->epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
+  links_[i]->epoch.fetch_add(1, std::memory_order_acq_rel);
 
   // The re-scatter runs on a healed wire, like the original build —
   // build frames have no retry layer, deliberately. Re-arm afterwards.
   const bool rearm = controller_ != nullptr && controller_->armed();
   if (controller_ != nullptr) controller_->heal();
-
-  auto spawned = spawn_node(i, epoch);
-  {
-    // `dead` is still true, so no sender touches the endpoint while it
-    // is swapped; the handshake below is the link's only user until the
-    // node is ALIVE again.
-    std::lock_guard lock(links_[i]->tx);
-    links_[i]->endpoint = std::move(spawned.endpoint);
-  }
-  nodes_[i] = std::move(spawned.peer);
-
-  const bool ok = rejoin_handshake(i, epoch);
+  std::string error;
+  const std::uint32_t one[] = {i};
+  const bool ok = attach_node(i, kRejoinTimeout, &error) &&
+                  join_ladder(one, kRejoinTimeout).empty();
   if (rearm) controller_->arm();
   if (!ok) {
-    // Back to DEAD (legal from kJoining/kAck/kAlive; no-op from kDead).
-    // The fresh node object idles until the next attempt replaces it or
-    // the index tears down.
+    // Back to DEAD (legal from kJoining/kAck; no-op from kDead). The
+    // fresh node object idles until the next attempt replaces it or the
+    // index tears down.
     std::lock_guard lock(membership_mu_);
     membership_.transition(i, NodeStatus::kDead);
     return false;
@@ -1084,7 +1040,7 @@ bool ClusterIndex::rejoin_node(std::uint32_t i) const {
     links_[i]->dead.store(false, std::memory_order_release);
   }
   receivers_[i] = std::thread([this, i] { receiver_loop(i); });
-  broadcast_cluster_info_tolerant();
+  broadcast_cluster_info();
   ledger_->rejoins.fetch_add(1, std::memory_order_relaxed);
   ledger_->recovery_ns.fetch_add(
       static_cast<std::uint64_t>(recovery.elapsed_ns()),
@@ -1225,6 +1181,8 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
   const bool replicate = config_.placement == index::Placement::kReplicate;
   const std::uint32_t lanes = replicate ? N : partitioner_.parts();
   std::uint64_t round_robin = 0;
+  std::uint32_t next_chunk = 0;
+  std::vector<PendingSend> sends;
 
   sub->timer.start();
   WallTimer dispatch_timer;
@@ -1242,29 +1200,33 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
         net::QueryBatchMsg msg;
         msg.submission = sub->id;
         msg.shard = replicate ? net::kGlobalShard : lane;
+        msg.chunk = next_chunk++;
         msg.keys = std::move(batch.keys);
         msg.ids = std::move(batch.ids);
-        std::lock_guard lock(sub->chunk_mu);
-        msg.chunk = static_cast<std::uint32_t>(sub->chunks.size());
-        Chunk& c = sub->chunks.emplace_back();
-        c.shard = msg.shard;
-        c.frame = net::encode_query_batch(net::kCoordinatorId, msg);
-        // Hold taken BEFORE the send so the countdown can never hit
-        // zero while chunks are still being created; the submitter's
-        // own hold keeps a failed first chunk from completing early.
-        sub->outstanding.fetch_add(1, std::memory_order_relaxed);
-        const std::uint32_t target = pick_target(c.shard, kNoFailure);
-        if (target == kNoFailure) {
-          // No live holder for this shard: submitting into a grave.
-          fail_chunk(*sub, c,
-                     replicate ? 0 : node_of_shard(c.shard));
-          sub->finish(1);  // cannot complete: the submitter's hold is out
-          return;
+        net::Frame frame = net::encode_query_batch(net::kCoordinatorId, msg);
+        {
+          std::lock_guard lock(sub->chunk_mu);
+          Chunk& c = sub->chunks.emplace_back();
+          c.shard = msg.shard;
+          c.queries = static_cast<std::uint32_t>(msg.keys.size());
+          // Hold taken BEFORE the send so the countdown can never hit
+          // zero while chunks are still being created; the submitter's
+          // own hold keeps a failed first chunk from completing early.
+          sub->outstanding.fetch_add(1, std::memory_order_relaxed);
+          const std::uint32_t target = pick_target(c.shard, kNoFailure);
+          if (target == kNoFailure) {
+            // No live holder for this shard: submitting into a grave.
+            fail_chunk(*sub, c, replicate ? 0 : node_of_shard(c.shard));
+            sub->finish(1);  // cannot complete: the submitter's hold is out
+            return;
+          }
+          c.node = target;
+          c.attempts = 1;
+          c.next_retry = Clock::now() + backoff_after(1);
+          c.frame = frame;  // the retained copy retries and failover re-send
+          queue_send(*sub, target, std::move(frame), sends);
         }
-        c.node = target;
-        c.attempts = 1;
-        c.next_retry = Clock::now() + backoff_after(1);
-        send_chunk(*sub, c);
+        flush_sends(*sub, sends);
       });
   sub->dispatch_sec = dispatch_timer.elapsed_sec();
   // Release the submitter's hold; completes immediately on zero work

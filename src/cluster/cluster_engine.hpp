@@ -9,13 +9,14 @@
 // length-prefixed kQueryBatch frame on a net::Endpoint and its answers
 // come back as a kRankBatch frame that a per-node receiver thread
 // scatters into the caller's out_ranks by query id (the
-// order-preserving merge). Four transports plug into the seam — the
-// in-process SpscRing pair, a UNIX-domain socketpair, a socketpair
-// inherited across fork/exec into a spawned dici_node child (kFork),
-// and a loopback TCP connection to a spawned child (kTcp) — and all
-// four carry identical wire-v2 bytes, so bench_cluster can put a real
-// number on what LinkModel::message_ps simulates, and the SAME test
-// suite runs against threads and against real processes.
+// order-preserving merge). Three transports plug into the seam — a
+// UNIX-domain socketpair to node threads in this process (kSocket), a
+// socketpair inherited across fork/exec into a spawned dici_node child
+// (kFork), and a loopback TCP connection to a spawned child (kTcp) —
+// and all three carry identical wire-v2 bytes through the same
+// FdEndpoint, so bench_cluster can put a real number on what
+// LinkModel::message_ps simulates, and the SAME test suite runs
+// against threads and against real processes.
 //
 // Placement (reusing the index/placement vocabulary):
 //   kInterleave / kNodeLocal — shard s lives on node s % N. On a wire
@@ -46,6 +47,8 @@
 // DEAD -> JOINING handshake on a FRESH link (epoch bumped, so stale
 // incarnations can never be mistaken for current traffic), shards
 // re-shipped via chunked kBuildShard, then back into routing rotation.
+// Build and re-join climb one join ladder; only their failure policy
+// differs (the build aborts, a re-join returns false).
 //
 // What stays coordinator-side: SubmitOptions::delta (rank corrections
 // are applied as a post-pass over the returned ranks, so the Store
@@ -91,7 +94,7 @@ struct ClusterConfig {
   std::uint32_t num_shards = 0;
   /// Query bytes the coordinator ingests per dispatch round.
   std::uint64_t batch_bytes = 64 * KiB;
-  net::TransportKind transport = net::TransportKind::kRing;
+  net::TransportKind transport = net::TransportKind::kSocket;
   index::SearchKernel kernel = index::kDefaultSearchKernel;
   index::Placement placement = index::Placement::kInterleave;
   /// Node -> coordinator heartbeat cadence.
@@ -106,19 +109,24 @@ struct ClusterConfig {
   bool track_latency = false;
   /// Re-sends of an unanswered chunk to the SAME node before the
   /// coordinator gives up on that assignment and considers failover.
-  /// 0 disables retries (first silence escalates immediately).
+  /// 0 disables retries (first silence escalates immediately). At most
+  /// core::kMaxRetries (checked by the constructor).
   std::uint32_t max_retries = 3;
   /// Base backoff before the first re-send; doubles per attempt
-  /// (capped) — attempt k waits retry_backoff_us * 2^(k-1).
+  /// (capped) — attempt k waits retry_backoff_us * 2^(k-1). In
+  /// [core::kMinRetryBackoffUs, core::kMaxRetryBackoffUs] (checked by
+  /// the constructor).
   std::uint32_t retry_backoff_us = 20'000;
   /// Re-route a dead (or retry-exhausted) node's unanswered chunks to a
   /// live replica holder when one exists. Off = the seed's fail-fast
   /// semantics: any death with chunks outstanding throws
   /// NodeFailureError.
   bool failover = true;
-  /// Fault injection on every coordinator<->node link (off by default:
-  /// FaultConfig::enabled() is false when all rates are zero). The
-  /// build phase always runs healed; faults arm once serving starts.
+  /// Fault injection on every coordinator<->node link, applied at the
+  /// coordinator's end (net::decorate_coordinator_end) whatever the
+  /// transport. Off by default: FaultConfig::enabled() is false when all
+  /// rates are zero. The build phase always runs healed; faults arm once
+  /// serving starts.
   net::FaultConfig faults;
 };
 

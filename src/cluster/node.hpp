@@ -4,9 +4,9 @@
 // child). PR 8's header promised that forking the nodes into real
 // processes "would change the transport kind and not one line of this
 // protocol"; this file is where the promise is kept: the SAME
-// NodeService::run() serves whether its endpoint is a ring pipe, an
-// in-process socketpair, a socketpair inherited across fork/exec, or a
-// loopback TCP connection — the service owns a link and NOTHING else
+// NodeService::run() serves whether its endpoint is an in-process
+// socketpair, a socketpair inherited across fork/exec, or a loopback
+// TCP connection — the service owns a link and NOTHING else
 // crosses its boundary.
 //
 // Bootstrap (both modes, one path): the service sends kJoinRequest,
@@ -133,7 +133,7 @@ class NodePeer {
 };
 
 /// The in-process peer: a thread running NodeService over an owned
-/// endpoint (ring/socket transports).
+/// endpoint (the socket transport).
 class ClusterNode final : public NodePeer {
  public:
   /// Spawns the service thread; it immediately runs the join handshake.

@@ -31,7 +31,8 @@ constexpr auto kReapGrace = std::chrono::seconds(2);
 
 std::unique_ptr<ProcessNode> ProcessNode::spawn(const std::string& binary,
                                                 std::vector<std::string> args,
-                                                int dup_fd) {
+                                                int dup_fd,
+                                                std::string* error) {
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(binary.c_str()));
   for (std::string& arg : args) argv.push_back(arg.data());
@@ -50,8 +51,11 @@ std::unique_ptr<ProcessNode> ProcessNode::spawn(const std::string& binary,
       ::posix_spawn(&pid, binary.c_str(), &actions, nullptr, argv.data(),
                     environ);
   posix_spawn_file_actions_destroy(&actions);
-  DICI_CHECK_FMT(rc == 0, "spawn of node binary \"%s\" failed: errno=%d (%s)",
-                 binary.c_str(), rc, std::strerror(rc));
+  if (rc != 0) {
+    *error = "spawn of node binary \"" + binary + "\" failed: errno=" +
+             std::to_string(rc) + " (" + std::strerror(rc) + ")";
+    return nullptr;
+  }
 
   auto node = std::unique_ptr<ProcessNode>(new ProcessNode());
   node->pid_ = pid;
@@ -60,19 +64,21 @@ std::unique_ptr<ProcessNode> ProcessNode::spawn(const std::string& binary,
 
 std::unique_ptr<ProcessNode> ProcessNode::spawn_fd(const std::string& binary,
                                                    std::uint32_t id,
-                                                   int node_fd) {
+                                                   int node_fd,
+                                                   std::string* error) {
   auto node = spawn(binary, {"--id", std::to_string(id), "--fd", "3"},
-                    node_fd);
+                    node_fd, error);
   ::close(node_fd);  // the child holds its dup; the parent's copy is done
   return node;
 }
 
 std::unique_ptr<ProcessNode> ProcessNode::spawn_connect(
-    const std::string& binary, std::uint32_t id, std::uint16_t port) {
+    const std::string& binary, std::uint32_t id, std::uint16_t port,
+    std::string* error) {
   return spawn(binary,
                {"--id", std::to_string(id), "--connect",
                 "127.0.0.1:" + std::to_string(port)},
-               -1);
+               -1, error);
 }
 
 std::string ProcessNode::default_binary() {

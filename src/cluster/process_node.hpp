@@ -35,15 +35,18 @@ class ProcessNode final : public NodePeer {
  public:
   /// Spawn `binary` serving node `id` over the socketpair end `node_fd`
   /// (takes ownership: dup2()'d to the child's fd 3, then closed in the
-  /// parent). Aborts with a diagnostic if the spawn fails.
+  /// parent). Null, with a diagnostic in *error, if the spawn fails.
   static std::unique_ptr<ProcessNode> spawn_fd(const std::string& binary,
-                                               std::uint32_t id, int node_fd);
+                                               std::uint32_t id, int node_fd,
+                                               std::string* error);
 
   /// Spawn `binary` serving node `id`, connecting back to the
-  /// coordinator's loopback listener on `port`.
+  /// coordinator's loopback listener on `port`. Null, with a diagnostic
+  /// in *error, if the spawn fails.
   static std::unique_ptr<ProcessNode> spawn_connect(const std::string& binary,
                                                     std::uint32_t id,
-                                                    std::uint16_t port);
+                                                    std::uint16_t port,
+                                                    std::string* error);
 
   /// The dici_node binary to spawn: the DICI_NODE_BIN env override if
   /// set, else "dici_node" next to the running executable (every CMake
@@ -66,7 +69,7 @@ class ProcessNode final : public NodePeer {
   /// link fd onto the child's fd 3 when `dup_fd` >= 0).
   static std::unique_ptr<ProcessNode> spawn(const std::string& binary,
                                             std::vector<std::string> args,
-                                            int dup_fd);
+                                            int dup_fd, std::string* error);
 
   int pid_ = -1;
   std::atomic<bool> killed_{false};

@@ -68,6 +68,16 @@ constexpr bool is_distributed(Method m) {
   return m == Method::kC1 || m == Method::kC2 || m == Method::kC3;
 }
 
+/// Bounds on the cluster retry knobs (ExperimentConfig and
+/// ClusterConfig alike; check_retry_knobs in engine.hpp enforces them).
+/// Beyond kMaxRetries attempts the backoff cap makes extra retries
+/// indistinguishable from polling; below kMinRetryBackoffUs the retry
+/// sweeper outpaces any real transport; above kMaxRetryBackoffUs a retry
+/// outlives the heartbeat verdict.
+inline constexpr std::uint32_t kMaxRetries = 1000;
+inline constexpr std::uint32_t kMinRetryBackoffUs = 100;
+inline constexpr std::uint32_t kMaxRetryBackoffUs = 10'000'000;
+
 struct ExperimentConfig {
   Method method = Method::kC3;
   arch::MachineSpec machine;
@@ -138,14 +148,13 @@ struct ExperimentConfig {
   // Knobs for Backend::kCluster, where the slaves are message-passing
   // nodes behind a net::Transport. The other backends ignore all three.
 
-  /// How frames physically move between coordinator and nodes: the
-  /// in-process SpscRing pair, a UNIX-domain socketpair, a socketpair
+  /// How frames physically move between coordinator and nodes: a
+  /// UNIX-domain socketpair to in-process node threads, a socketpair
   /// inherited across fork/exec by a spawned dici_node process (kFork),
   /// or a loopback TCP connection to a spawned process (kTcp). Same
-  /// wire-v2 bytes in all four — the ring is not allowed to pass
-  /// pointers, so crossing a process boundary changes nothing above
-  /// the transport.
-  net::TransportKind transport = net::TransportKind::kRing;
+  /// wire-v2 bytes on all three, so crossing a process boundary changes
+  /// nothing above the transport.
+  net::TransportKind transport = net::TransportKind::kSocket;
   /// Node -> coordinator heartbeat cadence. Must be >= 1 (validated).
   std::uint32_t heartbeat_interval_ms = 25;
   /// Silence past this marks a node DEAD and fails its in-flight
@@ -154,14 +163,12 @@ struct ExperimentConfig {
   /// kills a healthy node.
   std::uint32_t heartbeat_timeout_ms = 250;
   /// Re-sends of an unanswered cluster chunk to the same node before
-  /// the coordinator escalates to failover. 0 disables retries. Must be
-  /// <= 1000 (validated) — beyond that the backoff cap makes extra
-  /// attempts indistinguishable from polling.
+  /// the coordinator escalates to failover. 0 disables retries. At most
+  /// kMaxRetries (validated).
   std::uint32_t max_retries = 3;
   /// Base retry backoff in microseconds; attempt k waits
-  /// retry_backoff_us * 2^(k-1), exponent capped. In [100, 10'000'000]
-  /// (validated): below 100us the sweeper would outpace any real
-  /// transport, above 10s a retry could outlive the heartbeat verdict.
+  /// retry_backoff_us * 2^(k-1), exponent capped. In
+  /// [kMinRetryBackoffUs, kMaxRetryBackoffUs] (validated).
   std::uint32_t retry_backoff_us = 20'000;
   /// Re-route a dead node's unanswered chunks to a surviving replica
   /// holder (always possible under Placement::kReplicate). Off = fail

@@ -183,17 +183,8 @@ void validate(const ExperimentConfig& config) {
       "heartbeat_interval_ms = %u: the timeout must be at least twice the "
       "interval, or one delayed beat kills a healthy node",
       config.heartbeat_timeout_ms, config.heartbeat_interval_ms);
-  DICI_CHECK_FMT(config.max_retries <= 1000,
-                 "ExperimentConfig::max_retries = %u: beyond 1000 attempts "
-                 "the capped backoff makes retries pure polling — raise "
-                 "retry_backoff_us instead",
-                 config.max_retries);
-  DICI_CHECK_FMT(
-      config.retry_backoff_us >= 100 && config.retry_backoff_us <= 10'000'000,
-      "ExperimentConfig::retry_backoff_us = %u: must be in [100, 10'000'000] "
-      "— below 100us the retry sweeper outpaces any real transport, above "
-      "10s a retry outlives the heartbeat verdict",
-      config.retry_backoff_us);
+  check_retry_knobs("ExperimentConfig", config.max_retries,
+                    config.retry_backoff_us);
   if (is_distributed(config.method)) {
     DICI_CHECK_FMT(config.num_masters >= 1,
                    "ExperimentConfig::num_masters = %u: Method C needs at "
@@ -204,6 +195,22 @@ void validate(const ExperimentConfig& config) {
                    "Method C needs at least one slave",
                    config.num_nodes, config.num_masters);
   }
+}
+
+void check_retry_knobs(const char* owner, std::uint32_t max_retries,
+                       std::uint32_t retry_backoff_us) {
+  DICI_CHECK_FMT(max_retries <= kMaxRetries,
+                 "%s::max_retries = %u: beyond %u attempts the capped "
+                 "backoff makes retries pure polling — raise "
+                 "retry_backoff_us instead",
+                 owner, max_retries, kMaxRetries);
+  DICI_CHECK_FMT(retry_backoff_us >= kMinRetryBackoffUs &&
+                     retry_backoff_us <= kMaxRetryBackoffUs,
+                 "%s::retry_backoff_us = %u: must be in [%u, %u] — below "
+                 "the floor the retry sweeper outpaces any real transport, "
+                 "above the cap a retry outlives the heartbeat verdict",
+                 owner, retry_backoff_us, kMinRetryBackoffUs,
+                 kMaxRetryBackoffUs);
 }
 
 void check_native_supported(const ExperimentConfig& config) {

@@ -321,6 +321,14 @@ class Engine {
 /// value) regardless of backend.
 void validate(const ExperimentConfig& config);
 
+/// Aborts unless max_retries <= kMaxRetries and retry_backoff_us lies in
+/// [kMinRetryBackoffUs, kMaxRetryBackoffUs]; `owner` names the config
+/// struct in the diagnostic. validate() and the ClusterEngine
+/// constructor both call it, so the two paths into a cluster share one
+/// set of bounds.
+void check_retry_knobs(const char* owner, std::uint32_t max_retries,
+                       std::uint32_t retry_backoff_us);
+
 /// Aborts when the config requests knobs only the simulator implements
 /// (currently: non-default flush_policy) — silently running the default
 /// on a native backend would corrupt cross-backend comparisons. The

@@ -1,44 +1,45 @@
 // Deterministic fault injection over any net::Endpoint.
 //
-// FaultInjectingEndpoint decorates an Endpoint and perturbs one side of
-// the traffic, chosen by Mode:
+// decorate_coordinator_end() wraps the coordinator's end of one
+// coordinator<->node link — the one end that lives in the coordinator's
+// process on every transport, whether the node is a thread here or a
+// spawned dici_node child — and perturbs BOTH directions of the link
+// from there:
 //
-//  * kSendSide (the default) — every outgoing frame is independently
-//    dropped, delayed, duplicated, and/or payload-corrupted according
-//    to per-direction rates drawn from a seeded xoshiro stream — the
-//    same seed always produces the same schedule of decisions, so every
-//    failure a test or bench observes is reproducible. Decorate both
-//    ends of an in-process pair and you cover both directions.
-//  * kRecvSide — the same four decisions applied to frames as they
-//    ARRIVE (send is a pass-through). This exists for the process
-//    transports (fork/tcp), where the node end of the link lives in a
-//    spawned child and cannot be decorated: the coordinator's endpoint
-//    is double-decorated instead — an inner kRecvSide injector playing
-//    the node→coordinator direction at intake, wrapped by an outer
-//    kSendSide injector playing coordinator→node on the way out. The
-//    decision schedule is a pure function of (seed, arrival index), so
-//    runs are reproducible per-receive-order rather than per-send-order
-//    — the soak tests assert convergence, not schedule equality.
+//  * coordinator -> node (FaultConfig::to_node) on the way out: every
+//    outgoing frame is independently dropped, delayed, duplicated,
+//    and/or payload-corrupted before it reaches the wire;
+//  * node -> coordinator (FaultConfig::to_coordinator) at intake: the
+//    same four decisions applied to frames as they ARRIVE, before the
+//    coordinator sees them.
+//
+// Each direction draws from its own seeded xoshiro stream, derived from
+// (FaultConfig::seed, node, epoch): every link — and every re-join
+// incarnation of a link — gets its own schedule, and the same seed
+// always reproduces it. The outgoing schedule is a pure function of the
+// send order, the intake one of the arrival order, so the soak tests
+// assert convergence, not schedule equality.
 //
 // Failure modes and how the system above survives them:
 //   drop      — frame vanishes (returns kOk to the caller, like a
 //               switch eating a packet). The coordinator's retry layer
 //               re-sends unanswered chunks.
-//   delay     — frame is queued and delivered late by a background
-//               thread (still in seq order relative to nothing — late
-//               frames reorder past punctual ones, exactly like a
-//               congested path). Retries may race the late original;
-//               chunk ids dedupe the answers.
+//   delay     — frame is delivered late: an outgoing one by a
+//               background thread, an arriving one from a stash the
+//               receiver drains when it falls due. Late frames reorder
+//               past punctual ones, exactly like a congested path.
+//               Retries may race the late original; chunk ids dedupe
+//               the answers.
 //   duplicate — frame delivered twice. Same dedupe.
 //   corrupt   — 1-4 payload bytes flipped AFTER the checksum was
-//               sealed, so the receiver's transport reports kCorrupt
-//               and drops exactly that frame; headers are never
-//               touched, so the stream stays framed (a real link's
-//               CRC-failed frame, not a poisoned stream).
+//               sealed, so the receiver sees kCorrupt and drops exactly
+//               that frame; headers are never touched, so the stream
+//               stays framed (a real link's CRC-failed frame, not a
+//               poisoned stream).
 //   partition — FaultController::partition(true) black-holes EVERY
-//               frame in both decorated directions until switched off
-//               or heal()ed, regardless of rates: the wire is cut, the
-//               endpoints don't know it.
+//               frame in both directions of every decorated link until
+//               switched off or heal()ed, regardless of rates: the wire
+//               is cut, the endpoints don't know it.
 //
 // The shared FaultController is the live switchboard: arm() starts
 // injection, heal() stops it (and lifts a partition); stats() counts
@@ -72,9 +73,10 @@ struct FaultRates {
 };
 
 struct FaultConfig {
-  /// Seed of the per-direction decision streams (direction-salted, so
-  /// the two sides of a pair draw different but equally reproducible
-  /// schedules).
+  /// Seed of the decision streams. decorate_coordinator_end salts it
+  /// with the node id, the link epoch and the direction, so every link
+  /// and both of its directions draw different but equally
+  /// reproducible schedules.
   std::uint64_t seed = 0x5eed;
   /// Arm injection as soon as the controller exists (for a cluster:
   /// as soon as the build phase completes). When false, faults start
@@ -96,8 +98,8 @@ struct FaultStats {
   std::uint64_t corrupted = 0;
 };
 
-/// The live switchboard shared by the two decorated endpoints of a
-/// link. All methods are thread-safe.
+/// The live switchboard shared by every decorated link of a cluster.
+/// All methods are thread-safe.
 class FaultController {
  public:
   void arm() { armed_.store(true, std::memory_order_release); }
@@ -110,8 +112,8 @@ class FaultController {
   bool armed() const { return armed_.load(std::memory_order_acquire); }
 
   /// Cut (or restore) the wire: while partitioned, every frame in both
-  /// decorated directions is silently dropped, independent of rates and
-  /// of armed().
+  /// directions of every decorated link is silently dropped, independent
+  /// of rates and of armed().
   void partition(bool on) {
     partitioned_.store(on, std::memory_order_release);
   }
@@ -138,43 +140,15 @@ class FaultController {
   DirectionCounters to_coordinator_;
 };
 
-/// The decorator. Wraps one side of a link; `counters` selects which of
-/// the controller's direction slots this side's injections land in.
-class FaultInjectingEndpoint final : public Endpoint {
- public:
-  enum class Direction { kToNode, kToCoordinator };
-  /// Which side of the traffic the four decisions apply to (see the
-  /// header comment; kRecvSide is for links whose far end is a spawned
-  /// process).
-  enum class Mode { kSendSide, kRecvSide };
-
-  FaultInjectingEndpoint(std::unique_ptr<Endpoint> inner,
-                         std::shared_ptr<FaultController> controller,
-                         Direction direction, const FaultRates& rates,
-                         std::uint64_t seed, Mode mode = Mode::kSendSide);
-  ~FaultInjectingEndpoint() override;
-
-  SendResult send(const Frame& frame,
-                  std::chrono::nanoseconds timeout) override;
-  RecvResult recv(Frame* frame, std::chrono::nanoseconds timeout,
-                  std::string* error) override;
-  void close() override;
-  SendStats send_stats() const override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// A transport pair with both directions decorated and wired to one
-/// controller. The controller starts healed unless `config.armed`.
-struct FaultyPair {
-  std::unique_ptr<Endpoint> coordinator;
-  std::unique_ptr<Endpoint> node;
-  std::shared_ptr<FaultController> controller;
-};
-
-FaultyPair make_faulty_transport_pair(TransportKind kind,
-                                      const FaultConfig& config);
+/// The one fault decoration, used for every transport: wraps the
+/// coordinator's end of link `node` in incarnation `epoch`. Node-bound
+/// frames take `config.to_node` on send, coordinator-bound frames take
+/// `config.to_coordinator` at intake, and `controller` arms, heals and
+/// partitions the link and counts what was done to it. The two decision
+/// streams are seeded from (config.seed, node, epoch).
+std::unique_ptr<Endpoint> decorate_coordinator_end(
+    std::unique_ptr<Endpoint> coordinator_end,
+    std::shared_ptr<FaultController> controller, const FaultConfig& config,
+    std::uint32_t node, std::uint32_t epoch);
 
 }  // namespace dici::net

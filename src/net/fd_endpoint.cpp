@@ -90,6 +90,19 @@ FdEndpoint::~FdEndpoint() {
 
 Endpoint::SendResult FdEndpoint::send(const Frame& frame,
                                       std::chrono::nanoseconds timeout) {
+  const auto deadline = Clock::now() + timeout;
+  if (!unsent_.empty()) {
+    // The peer already holds the head of a frame whose send timed out:
+    // its tail goes first, or this frame would be read as the rest of
+    // it and the stream would lose its framing.
+    std::size_t sent = 0;
+    const SendResult result =
+        write_until(unsent_.data(), unsent_.size(), deadline, &sent);
+    unsent_.erase(unsent_.begin(),
+                  unsent_.begin() + static_cast<std::ptrdiff_t>(sent));
+    if (result != SendResult::kOk) return result;
+  }
+
   FrameHeader header = frame.header;
   header.seq = seq_++;
   std::vector<std::uint8_t> bytes(kFrameHeaderBytes + frame.payload.size());
@@ -98,14 +111,28 @@ Endpoint::SendResult FdEndpoint::send(const Frame& frame,
     std::memcpy(bytes.data() + kFrameHeaderBytes, frame.payload.data(),
                 frame.payload.size());
   }
-
-  const auto deadline = Clock::now() + timeout;
   std::size_t sent = 0;
-  while (sent < bytes.size()) {
+  const SendResult result =
+      write_until(bytes.data(), bytes.size(), deadline, &sent);
+  if (result == SendResult::kTimeout && sent > 0) {
+    unsent_.assign(bytes.begin() + static_cast<std::ptrdiff_t>(sent),
+                   bytes.end());
+  }
+  if (result != SendResult::kOk) return result;
+  stats_messages_.fetch_add(1, std::memory_order_relaxed);
+  stats_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  return SendResult::kOk;
+}
+
+Endpoint::SendResult FdEndpoint::write_until(const std::uint8_t* data,
+                                             std::size_t size,
+                                             Clock::time_point deadline,
+                                             std::size_t* sent) {
+  while (*sent < size) {
     if (closed_.load(std::memory_order_acquire)) return SendResult::kClosed;
-    const ssize_t n = send_some(fd_, bytes.data() + sent, bytes.size() - sent);
+    const ssize_t n = send_some(fd_, data + *sent, size - *sent);
     if (n > 0) {
-      sent += static_cast<std::size_t>(n);
+      *sent += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EPIPE || errno == ECONNRESET || errno == EBADF))
@@ -114,8 +141,6 @@ Endpoint::SendResult FdEndpoint::send(const Frame& frame,
       return SendResult::kClosed;
     if (!poll_fd_until(fd_, POLLOUT, deadline)) return SendResult::kTimeout;
   }
-  stats_messages_.fetch_add(1, std::memory_order_relaxed);
-  stats_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
   return SendResult::kOk;
 }
 
@@ -184,7 +209,10 @@ Endpoint::RecvResult FdEndpoint::fill(Clock::time_point deadline) {
 // --- TCP bootstrap --------------------------------------------------------
 
 TcpListener::TcpListener() {
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  // Non-blocking, so accept() returns EAGAIN and polls against its
+  // deadline; a blocking accept4 would wait forever for a child that
+  // never connects.
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   DICI_CHECK_FMT(fd_ >= 0, "tcp listener socket failed: errno=%d (%s)", errno,
                  std::strerror(errno));
   struct sockaddr_in addr = {};

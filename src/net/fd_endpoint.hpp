@@ -10,8 +10,12 @@
 // MSG_NOSIGNAL (a dead peer is EPIPE → kClosed, never SIGPIPE),
 // reassembles partial frames in a buffer, and verifies the payload
 // checksum per frame (kCorrupt drops one frame, the stream stays
-// framed). The fd is owned: closed in the destructor, shutdown() on
-// close() so blocked poll()s on either end return promptly.
+// framed). A send that times out part-way keeps the frame's unsent
+// tail and writes it ahead of the next frame, so a timeout never
+// tears the stream: the timed-out frame arrives late and whole, or
+// (if nothing is sent after it) not at all. The fd is owned: closed
+// in the destructor, shutdown() on close() so blocked poll()s on either
+// end return promptly.
 //
 // The EINTR discipline (the kSocket audit): every ::send/::recv retries
 // EINTR immediately instead of falling through to poll, and
@@ -82,10 +86,17 @@ class FdEndpoint final : public Endpoint {
 
  private:
   RecvResult fill(std::chrono::steady_clock::time_point deadline);
+  /// Write data[*sent, size) by `deadline`, advancing *sent.
+  SendResult write_until(const std::uint8_t* data, std::size_t size,
+                         std::chrono::steady_clock::time_point deadline,
+                         std::size_t* sent);
 
   int fd_;
   std::atomic<bool> closed_{false};
   std::vector<std::uint8_t> buffer_;  // partial-frame reassembly
+  /// The tail of a frame whose send timed out part-way; the next send
+  /// writes it before its own frame. Sender-thread-only.
+  std::vector<std::uint8_t> unsent_;
   std::uint64_t seq_ = 0;
   std::atomic<std::uint64_t> stats_messages_{0};
   std::atomic<std::uint64_t> stats_bytes_{0};

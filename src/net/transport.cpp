@@ -1,192 +1,12 @@
 #include "src/net/transport.hpp"
 
-#include <atomic>
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
-#include <thread>
-#include <vector>
-
 #include "src/net/fd_endpoint.hpp"
-#include "src/net/spsc_ring.hpp"
 #include "src/util/assert.hpp"
 
 namespace dici::net {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::string checksum_error(const FrameHeader& header) {
-  return std::string("transport: payload checksum mismatch on ") +
-         msg_type_name(header.msg_type()) + " seq " +
-         std::to_string(header.seq) + " from src " +
-         std::to_string(header.src) + " — frame dropped";
-}
-
-// --- Ring transport -------------------------------------------------------
-
-/// One direction of the ring link: an SPSC ring of fully serialized
-/// frames plus the eventcount park/wake protocol from SpscRingHub (see
-/// spsc_ring.hpp for why the generation ticket can't lose a wake).
-/// Sender and receiver live in different "nodes", so the pipe is the
-/// only memory they share — and it carries bytes, not objects.
-struct FramePipe {
-  explicit FramePipe(std::size_t min_frames) : ring(min_frames) {}
-
-  SpscRing<std::vector<std::uint8_t>> ring;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<bool> waiting{false};
-  std::atomic<bool> closed{false};
-
-  void wake() {
-    {
-      std::lock_guard lock(mu);
-      epoch.fetch_add(1, std::memory_order_relaxed);
-    }
-    cv.notify_all();
-  }
-
-  void after_event() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiting.load(std::memory_order_relaxed)) wake();
-  }
-
-  void close() {
-    closed.store(true, std::memory_order_release);
-    wake();
-  }
-};
-
-struct RingLink {
-  RingLink(std::size_t frames) : to_node(frames), to_coordinator(frames) {}
-  FramePipe to_node;
-  FramePipe to_coordinator;
-};
-
-class RingEndpoint final : public Endpoint {
- public:
-  RingEndpoint(std::shared_ptr<RingLink> link, FramePipe* out, FramePipe* in)
-      : link_(std::move(link)), out_(out), in_(in) {}
-
-  ~RingEndpoint() override { close(); }
-
-  SendResult send(const Frame& frame, std::chrono::nanoseconds timeout) override {
-    if (closed_by_either()) return SendResult::kClosed;
-    FrameHeader header = frame.header;
-    header.seq = seq_++;
-    std::vector<std::uint8_t> bytes(kFrameHeaderBytes + frame.payload.size());
-    encode_frame_header(header, bytes.data());
-    if (!frame.payload.empty()) {
-      std::memcpy(bytes.data() + kFrameHeaderBytes, frame.payload.data(),
-                  frame.payload.size());
-    }
-    const std::uint64_t size = bytes.size();
-
-    // A full ring means the receiver is awake and draining (or dead) —
-    // it can't be parked on empty — so spinning with yields until a
-    // slot frees is correct; the deadline bounds a dead receiver.
-    const auto deadline = Clock::now() + timeout;
-    while (!out_->ring.try_push(bytes)) {
-      if (closed_by_either()) return SendResult::kClosed;
-      if (Clock::now() >= deadline) return SendResult::kTimeout;
-      std::this_thread::yield();
-    }
-    out_->after_event();  // wake a receiver parked on empty
-    stats_messages_.fetch_add(1, std::memory_order_relaxed);
-    stats_bytes_.fetch_add(size, std::memory_order_relaxed);
-    return SendResult::kOk;
-  }
-
-  RecvResult recv(Frame* frame, std::chrono::nanoseconds timeout,
-                  std::string* error) override {
-    std::vector<std::uint8_t> bytes;
-    const auto outcome = wait_pop(bytes, timeout);
-    if (outcome != RecvResult::kFrame) return outcome;
-    if (!decode_frame(bytes, frame, error)) return RecvResult::kError;
-    if (!frame_checksum_ok(*frame)) {
-      *error = checksum_error(frame->header);
-      return RecvResult::kCorrupt;
-    }
-    return RecvResult::kFrame;
-  }
-
-  void close() override {
-    // Close both pipes: a ring endpoint closing must unblock its peer's
-    // sender (which pushes into in_) as well as its receiver.
-    out_->close();
-    in_->close();
-  }
-
-  SendStats send_stats() const override {
-    return {stats_messages_.load(std::memory_order_relaxed),
-            stats_bytes_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  bool closed_by_either() const {
-    return out_->closed.load(std::memory_order_acquire) ||
-           in_->closed.load(std::memory_order_acquire);
-  }
-
-  RecvResult wait_pop(std::vector<std::uint8_t>& bytes,
-                      std::chrono::nanoseconds timeout) {
-    const auto deadline = Clock::now() + timeout;
-    for (;;) {
-      if (in_->ring.try_pop(bytes)) return RecvResult::kFrame;
-      // Eventcount park (the SpscRingHub protocol): ticket, announce,
-      // final re-scan, then sleep on "generation changed or closed".
-      const std::uint64_t ticket = in_->epoch.load(std::memory_order_acquire);
-      in_->waiting.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (in_->ring.try_pop(bytes)) {
-        in_->waiting.store(false, std::memory_order_relaxed);
-        return RecvResult::kFrame;
-      }
-      if (in_->closed.load(std::memory_order_acquire)) {
-        in_->waiting.store(false, std::memory_order_relaxed);
-        // Final drain: frames pushed before the close still come out.
-        return in_->ring.try_pop(bytes) ? RecvResult::kFrame
-                                        : RecvResult::kClosed;
-      }
-      bool woke;
-      {
-        std::unique_lock lock(in_->mu);
-        woke = in_->cv.wait_until(lock, deadline, [&] {
-          return in_->epoch.load(std::memory_order_relaxed) != ticket ||
-                 in_->closed.load(std::memory_order_relaxed);
-        });
-      }
-      in_->waiting.store(false, std::memory_order_relaxed);
-      if (!woke) {
-        // Deadline hit. One last pop covers a push that raced the wait.
-        if (in_->ring.try_pop(bytes)) return RecvResult::kFrame;
-        if (in_->closed.load(std::memory_order_acquire))
-          return RecvResult::kClosed;
-        return RecvResult::kTimeout;
-      }
-    }
-  }
-
-  std::shared_ptr<RingLink> link_;  // keeps both pipes alive
-  FramePipe* out_;
-  FramePipe* in_;
-  std::uint64_t seq_ = 0;
-  std::atomic<std::uint64_t> stats_messages_{0};
-  std::atomic<std::uint64_t> stats_bytes_{0};
-};
-
-}  // namespace
-
-// The fd-backed endpoint (the socket/fork/tcp transports) lives in
-// fd_endpoint.{hpp,cpp} — one implementation of poll timeouts, partial
-// I/O framing, and EINTR retry shared by every descriptor transport.
 
 const char* transport_name(TransportKind kind) {
   switch (kind) {
-    case TransportKind::kRing:
-      return "ring";
     case TransportKind::kSocket:
       return "socket";
     case TransportKind::kFork:
@@ -198,10 +18,6 @@ const char* transport_name(TransportKind kind) {
 }
 
 bool transport_parse(const std::string& text, TransportKind* kind) {
-  if (text == "ring") {
-    *kind = TransportKind::kRing;
-    return true;
-  }
   if (text == "socket") {
     *kind = TransportKind::kSocket;
     return true;
@@ -218,7 +34,7 @@ bool transport_parse(const std::string& text, TransportKind* kind) {
 }
 
 TransportKind transport_from_flag(const std::string& text, const char* field) {
-  TransportKind kind = TransportKind::kRing;
+  TransportKind kind = TransportKind::kSocket;
   DICI_CHECK_FMT(transport_parse(text, &kind),
                  "%s = \"%s\" is not a transport (want %s)", field,
                  text.c_str(), kTransportChoices);
@@ -226,16 +42,8 @@ TransportKind transport_from_flag(const std::string& text, const char* field) {
 }
 
 std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>>
-make_transport_pair(TransportKind kind, std::size_t ring_frames) {
+make_transport_pair(TransportKind kind) {
   switch (kind) {
-    case TransportKind::kRing: {
-      auto link = std::make_shared<RingLink>(ring_frames);
-      auto coordinator = std::make_unique<RingEndpoint>(
-          link, &link->to_node, &link->to_coordinator);
-      auto node = std::make_unique<RingEndpoint>(link, &link->to_coordinator,
-                                                 &link->to_node);
-      return {std::move(coordinator), std::move(node)};
-    }
     case TransportKind::kSocket:
     case TransportKind::kFork: {
       // Mechanically the same link: a CLOEXEC socketpair. kFork's node

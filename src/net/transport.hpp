@@ -2,19 +2,14 @@
 // cluster coordinator and a node.
 //
 // An Endpoint is one side of a bidirectional, ordered, reliable link
-// that carries whole wire.hpp Frames. Four implementations, chosen by
-// TransportKind:
+// that carries whole wire.hpp Frames. Every transport is the same
+// FdEndpoint (fd_endpoint.hpp) over a SOCK_STREAM descriptor; what
+// TransportKind chooses is where the node end lives and how the
+// descriptor pair comes to exist:
 //
-//  * kRing   — an in-process pair of SpscRing<byte-buffer> pipes with
-//              the hub's eventcount park/wake protocol. The fast path
-//              is lock-free; a blocked side parks on a condvar. This is
-//              the "first rung" of ISSUE 8: node objects live in the
-//              coordinator's process but their states share NOTHING —
-//              only serialized bytes cross the pipe. ~100ns/message.
-//  * kSocket — a UNIX-domain socketpair (SOCK_STREAM): the kernel
-//              carries the bytes between two in-process ends.
-//              1-2µs/message syscall overhead; bench_cluster measures
-//              the gap against LinkModel::message_ps.
+//  * kSocket — a UNIX-domain socketpair (SOCK_STREAM) with both ends in
+//              the coordinator's process: the node is a thread here, and
+//              the kernel carries the bytes between the two ends.
 //  * kFork   — the same socketpair, but the node end is inherited
 //              across fork/exec by a spawned dici_node process
 //              (src/cluster/process_node.hpp). Identical bytes and
@@ -27,12 +22,11 @@
 //              rung below multi-host: same connector code would reach a
 //              remote address.
 //
-// All four transports move the SAME encode_frame() bytes and feed the same
-// bounds-checked decoders — the ring doesn't get to cheat by passing
-// pointers. Failure semantics are explicit results, never exceptions:
-// a send to a full/dead peer times out or reports closed, which the
-// membership layer converts into a DEAD node and a failed batch instead
-// of a hang.
+// All three move the SAME encode_frame() bytes through the same
+// bounds-checked decoders. Failure semantics are explicit results, never
+// exceptions: a send to a full/dead peer times out or reports closed,
+// which the membership layer converts into a DEAD node and a failed
+// batch instead of a hang.
 //
 // Threading contract: one sender thread and one receiver thread per
 // endpoint side at a time (the cluster serializes multi-client sends
@@ -49,17 +43,16 @@
 namespace dici::net {
 
 enum class TransportKind : std::uint8_t {
-  kRing,    ///< in-process SpscRing byte pipes
   kSocket,  ///< UNIX-domain socketpair, both ends in-process
   kFork,    ///< socketpair inherited by a fork/exec'd dici_node child
   kTcp,     ///< loopback TCP listener/connector to a dici_node child
 };
 
 const char* transport_name(TransportKind kind);
-/// Parse "ring" / "socket" / "fork" / "tcp"; false on anything else.
+/// Parse "socket" / "fork" / "tcp"; false on anything else.
 bool transport_parse(const std::string& text, TransportKind* kind);
 /// The valid spellings, for diagnostics and CLI help.
-inline constexpr const char* kTransportChoices = "ring|socket|fork|tcp";
+inline constexpr const char* kTransportChoices = "socket|fork|tcp";
 /// Parse or abort with a field+value diagnostic enumerating the valid
 /// set (the DICI_CHECK_FMT house style) — for config/CLI surfaces where
 /// an unknown transport is a caller bug, not a recoverable condition.
@@ -86,8 +79,9 @@ class Endpoint {
 
   /// Serialize and enqueue/write one frame. Stamps the endpoint's
   /// monotonic sequence number into the header (the caller's seq is
-  /// overwritten). kTimeout after `timeout` of sustained backpressure;
-  /// kClosed once either side closed the link. Never blocks forever.
+  /// overwritten). kTimeout after `timeout` of sustained backpressure
+  /// — the frame may still arrive late, whole, never torn; kClosed once
+  /// either side closed the link. Never blocks forever.
   virtual SendResult send(const Frame& frame,
                           std::chrono::nanoseconds timeout) = 0;
 
@@ -112,14 +106,13 @@ class Endpoint {
 };
 
 /// A connected pair of endpoints: `first` is the coordinator side,
-/// `second` the node side. `ring_frames` bounds the in-flight frame
-/// count per direction for kRing (ignored by the fd transports, where
-/// the kernel socket buffer is the bound). For kFork/kTcp this builds
-/// the IN-PROCESS analogue of the link (the same fds/sockets, nobody
-/// spawned) — the mechanism bench_cluster's ping-pong uses to price a
-/// transport without paying process-scheduling noise; the cluster layer
-/// does the actual spawning (src/cluster/process_node.hpp).
+/// `second` the node side. The kernel socket buffer bounds the bytes in
+/// flight per direction. For kFork/kTcp this builds the IN-PROCESS
+/// analogue of the link (the same fds/sockets, nobody spawned) — the
+/// mechanism bench_cluster's ping-pong uses to price a transport without
+/// paying process-scheduling noise; the cluster layer does the actual
+/// spawning (src/cluster/process_node.hpp).
 std::pair<std::unique_ptr<Endpoint>, std::unique_ptr<Endpoint>>
-make_transport_pair(TransportKind kind, std::size_t ring_frames = 1024);
+make_transport_pair(TransportKind kind);
 
 }  // namespace dici::net

@@ -6,8 +6,8 @@
 // format is stable across compilers and, later, across machines. This
 // is the point where net/link.hpp's LinkModel stops being a model:
 // every byte counted here actually crosses a transport
-// (net/transport.hpp), whether that transport is an in-process ring
-// pair or a UNIX-domain socket.
+// (net/transport.hpp), whether that transport is a UNIX-domain socket
+// or loopback TCP.
 //
 // Decode discipline: a frame arrives from outside the receiver's trust
 // domain, so every decoder is TOTAL — truncated payloads, oversized
@@ -133,9 +133,8 @@ void encode_frame_header(const FrameHeader& header, std::uint8_t* out);
 bool decode_frame_header(std::span<const std::uint8_t> bytes,
                          FrameHeader* header, std::string* error);
 
-/// Serialize header + payload into one contiguous buffer (what a socket
-/// transport writes, and what a ring transport's slots carry — both
-/// links move the same bytes).
+/// Serialize header + payload into one contiguous buffer: the bytes
+/// every transport writes.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Total decode of a whole buffered frame (header checks above, plus

@@ -181,10 +181,10 @@ struct MatrixOptions {
   /// rank-verified like any other, pinning the "placement moves bytes,
   /// never answers" invariant.
   std::vector<core::Placement> placements = {core::Placement::kInterleave};
-  /// Frame transport cluster cells run over (ring | socket | fork |
-  /// tcp — the last two spawn real dici_node processes); the other
-  /// backends never serialize a frame and ignore it.
-  net::TransportKind transport = net::TransportKind::kRing;
+  /// Frame transport cluster cells run over (socket | fork | tcp — the
+  /// last two spawn real dici_node processes); the other backends never
+  /// serialize a frame and ignore it.
+  net::TransportKind transport = net::TransportKind::kSocket;
   /// Forced NUMA node count for the native engines' topology (0 =
   /// discover the host). CI sets this > 1 so single-node runners still
   /// execute every placement and same-node-first stealing path.

@@ -11,6 +11,8 @@
 // and a seeded drop/delay/duplicate/corrupt storm on every link still
 // converges every batch to exact ranks.
 #include <gtest/gtest.h>
+#include <libgen.h>
+#include <limits.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -19,6 +21,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,7 +63,7 @@ const Fixture& fixture() {
 
 ClusterConfig quick_config(std::uint32_t nodes,
                            net::TransportKind transport =
-                               net::TransportKind::kRing) {
+                               net::TransportKind::kSocket) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.batch_bytes = 4 * KiB;
@@ -81,12 +85,12 @@ void expect_exact(const std::vector<rank_t>& ranks, const char* tag) {
 
 TEST(ClusterEngine, RanksExactEveryPlacementAndTransport) {
   const auto& fx = fixture();
-  // The in-process transports AND the process ones: fork and tcp cells
+  // The in-process transport AND the process ones: fork and tcp cells
   // spawn three real dici_node children each, and must agree bit-exactly
   // with the thread-backed cells on every placement.
   for (const net::TransportKind transport :
-       {net::TransportKind::kRing, net::TransportKind::kSocket,
-        net::TransportKind::kFork, net::TransportKind::kTcp}) {
+       {net::TransportKind::kSocket, net::TransportKind::kFork,
+        net::TransportKind::kTcp}) {
     for (const index::Placement placement :
          {index::Placement::kInterleave, index::Placement::kNodeLocal,
           index::Placement::kReplicate}) {
@@ -440,13 +444,13 @@ std::uint64_t fault_seed() {
   return 0x5eed;
 }
 
-/// CI's chaos matrix also soaks the process transports: the env picks
-/// the wire the storm rides on (default ring). On fork/tcp the faults
-/// bite via the coordinator end's recv-side intake decoration.
+/// CI's chaos matrix soaks every transport: the env picks the wire the
+/// storm rides on (default socket). Whatever the transport, the faults
+/// bite at the coordinator's end of each link.
 net::TransportKind fault_transport() {
   if (const char* s = std::getenv("DICI_FAULT_TRANSPORT"))
     return net::transport_from_flag(s, "DICI_FAULT_TRANSPORT");
-  return net::TransportKind::kRing;
+  return net::TransportKind::kSocket;
 }
 
 TEST(ClusterEngine, FaultSoakDropDelayCorruptEveryRankExact) {
@@ -576,8 +580,12 @@ TEST(ClusterProcess, SigkilledChildFailoverCompletesEveryInFlightBatch) {
     std::vector<std::vector<rank_t>> ranks(kBatches);
     std::vector<Ticket> tickets(kBatches);
     for (std::size_t i = 0; i < kBatches; ++i) {
+      // Freeze the child before batch 3 so it provably dies holding that
+      // batch's chunks unanswered (a child that keeps up could answer
+      // everything in the microseconds before the kill lands)...
+      if (i == 3) ASSERT_EQ(::kill(pids[1], SIGSTOP), 0);
       tickets[i] = client->submit(fx.queries, &ranks[i]);
-      if (i == 3) cluster_kill_node_for_test(*index, 1);  // real SIGKILL
+      if (i == 3) cluster_kill_node_for_test(*index, 1);  // ...real SIGKILL
     }
     std::uint64_t failovers = 0;
     for (std::size_t i = 0; i < kBatches; ++i) {
@@ -667,6 +675,132 @@ TEST(ClusterProcess, TeardownReapsEveryChildNoZombies) {
   }
 }
 
+/// Sets an environment variable for one scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(ClusterProcess, FailedRejoinReturnsFalseAndLeavesTheNodeDead) {
+  // The re-join error channel. Build and re-join climb one join ladder,
+  // but only the build aborts on failure: a re-join whose fresh child
+  // never speaks (DICI_NODE_BIN, read at every spawn, points at a binary
+  // that exits at once) or never starts (a binary that does not exist)
+  // must return false promptly, leave the node DEAD, and abort nothing.
+  // With the override gone, the next re-join succeeds and serves exact
+  // ranks.
+  const auto& fx = fixture();
+  const auto index =
+      ClusterEngine(quick_config(3, net::TransportKind::kFork)).build(fx.keys);
+  const auto client = index->connect();
+  std::vector<rank_t> warm;
+  client->wait(client->submit(fx.queries, &warm));
+  expect_exact(warm, "pre-kill");
+
+  cluster_kill_node_for_test(*index, 1);
+  ASSERT_TRUE(wait_for_status(*index, 1, NodeStatus::kDead));
+  for (const char* binary : {"/bin/false", "/nonexistent/dici_node"}) {
+    ScopedEnv env("DICI_NODE_BIN", binary);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(cluster_rejoin_node(*index, 1)) << binary;
+    // The child's exit closes the link (or the spawn fails outright),
+    // which the re-join reports at once instead of waiting out its 5 s
+    // deadline.
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(2500))
+        << binary;
+    EXPECT_EQ(cluster_node_status(*index, 1), NodeStatus::kDead) << binary;
+  }
+  ASSERT_TRUE(cluster_rejoin_node(*index, 1));
+  EXPECT_EQ(cluster_node_status(*index, 1), NodeStatus::kAlive);
+  std::vector<rank_t> after;
+  const RunReport report = client->wait(client->submit(fx.queries, &after));
+  expect_exact(after, "post-rejoin");
+  EXPECT_EQ(report.rejoins, 1u);
+}
+
+// --- A lying node: replies are checked before they are written ------------
+
+/// dici_lying_node, built next to this test binary: node 1 answers every
+/// query batch with an out-of-range query id (DICI_LIE=id) or one answer
+/// short (DICI_LIE=count). See tests/support/lying_node.cpp.
+std::string lying_node_binary() {
+  char exe[PATH_MAX];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  EXPECT_GT(n, 0);
+  exe[n > 0 ? n : 0] = '\0';
+  return std::string(::dirname(exe)) + "/dici_lying_node";
+}
+
+constexpr const char* kLies[] = {"id", "count"};
+
+TEST(ClusterProcess, LyingNodeIsFailedAndItsChunksFailOverUnderReplicate) {
+  // The coordinator writes each answer at out[id], with ids decoded from
+  // another process. A reply naming an id outside the submission, or
+  // answering a different number of queries than its chunk carried, is
+  // a protocol breach: the node is failed before anything is written,
+  // and its chunks re-route to the replicas, so every rank stays exact.
+  const auto& fx = fixture();
+  for (const char* lie : kLies) {
+    ScopedEnv env("DICI_LIE", lie);
+    ClusterConfig cfg = quick_config(3, net::TransportKind::kFork);
+    cfg.placement = index::Placement::kReplicate;
+    cfg.node_binary = lying_node_binary();
+    const auto index = ClusterEngine(cfg).build(fx.keys);
+    const auto client = index->connect();
+    std::uint64_t failovers = 0;
+    for (int batch = 0; batch < 3; ++batch) {
+      std::vector<rank_t> ranks;
+      const RunReport report = client->wait(client->submit(fx.queries, &ranks));
+      expect_exact(ranks, lie);
+      failovers += report.failovers;
+    }
+    EXPECT_GT(failovers, 0u) << lie;
+    EXPECT_EQ(cluster_node_status(*index, 1), NodeStatus::kDead) << lie;
+    EXPECT_EQ(cluster_node_status(*index, 0), NodeStatus::kAlive) << lie;
+    EXPECT_EQ(cluster_node_status(*index, 2), NodeStatus::kAlive) << lie;
+  }
+}
+
+TEST(ClusterProcess, LyingNodeIsNamedUnderInterleave) {
+  // With no replica to fail over to, the breach surfaces as the
+  // NodeFailureError of any batch that touched the liar, naming it.
+  const auto& fx = fixture();
+  for (const char* lie : kLies) {
+    ScopedEnv env("DICI_LIE", lie);
+    ClusterConfig cfg = quick_config(3, net::TransportKind::kFork);
+    cfg.node_binary = lying_node_binary();
+    const auto index = ClusterEngine(cfg).build(fx.keys);
+    const auto client = index->connect();
+    std::vector<rank_t> ranks;
+    try {
+      client->wait(client->submit(fx.queries, &ranks));
+      ADD_FAILURE() << lie << ": a batch through the lying node completed";
+    } catch (const NodeFailureError& e) {
+      EXPECT_EQ(e.node(), 1u) << lie;
+      EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cluster_node_status(*index, 1), NodeStatus::kDead) << lie;
+  }
+}
+
 TEST(ClusterProcess, InProcessTransportsReportNoPids) {
   const auto& fx = fixture();
   const auto index = ClusterEngine(quick_config(2)).build(fx.keys);
@@ -691,6 +825,19 @@ TEST(ClusterEngineDeath, RejectsClusterIncompatibleConfigs) {
     ClusterConfig cfg;
     cfg.retry_backoff_us = 0;  // the sweeper would spin
     EXPECT_DEATH(ClusterEngine{cfg}, "retry_backoff_us");
+  }
+  {
+    // The bounds validate() puts on ExperimentConfig hold for a direct
+    // ClusterConfig too: a 50us backoff would have the sweeper re-send
+    // every unanswered chunk on every tick.
+    ClusterConfig cfg;
+    cfg.retry_backoff_us = 50;
+    EXPECT_DEATH(ClusterEngine{cfg}, "ClusterConfig::retry_backoff_us = 50");
+  }
+  {
+    ClusterConfig cfg;
+    cfg.max_retries = 1001;
+    EXPECT_DEATH(ClusterEngine{cfg}, "ClusterConfig::max_retries = 1001");
   }
   {
     ExperimentConfig cfg;

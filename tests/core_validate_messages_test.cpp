@@ -195,12 +195,14 @@ TEST_F(ValidateDeath, BadTransportFlagNamesValueAndChoices) {
   // copy-paste away.
   EXPECT_DEATH(net::transport_from_flag("carrier-pigeon", "--transport"),
                "--transport = \"carrier-pigeon\" is not a transport "
-               "\\(want ring\\|socket\\|fork\\|tcp\\)");
+               "\\(want socket\\|fork\\|tcp\\)");
+  // The retired in-process ring transport is no longer a spelling.
+  EXPECT_DEATH(net::transport_from_flag("ring", "--transport"),
+               "--transport = \"ring\" is not a transport "
+               "\\(want socket\\|fork\\|tcp\\)");
 }
 
 TEST(ValidateAccepts, EveryTransportFlagParses) {
-  EXPECT_EQ(net::transport_from_flag("ring", "--transport"),
-            net::TransportKind::kRing);
   EXPECT_EQ(net::transport_from_flag("socket", "--transport"),
             net::TransportKind::kSocket);
   EXPECT_EQ(net::transport_from_flag("fork", "--transport"),

@@ -1,9 +1,15 @@
-// FaultInjectingEndpoint contract: deterministic per-seed schedules,
-// each failure mode observable from the receiving end exactly as a real
-// flaky link would present it (drop = silence, corrupt = kCorrupt with
-// a clean stream after, duplicate = two arrivals, delay = late
-// arrival), and the FaultController switchboard (arm/heal/partition)
-// flipping injection at runtime.
+// The coordinator-end fault decoration: deterministic per-seed
+// schedules (salted per node and link epoch), each failure mode
+// observable exactly as a real flaky link would present it (drop =
+// silence, corrupt = kCorrupt with a clean stream after, duplicate =
+// two arrivals, delay = late arrival) in both directions — node-bound
+// frames perturbed on send, coordinator-bound frames at intake — and
+// the FaultController switchboard (arm/heal/partition) flipping
+// injection at runtime.
+//
+// The rigs run over the socket transport, whose kernel buffer is the
+// only queue between the ends: a test that sends many frames drains
+// the far end as it goes instead of relying on the buffer to hold them.
 #include "src/net/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -32,31 +38,75 @@ Frame ping(std::uint64_t i) {
   return encode_query_batch(kCoordinatorId, msg);
 }
 
-/// One ring link whose coordinator->node direction is decorated.
+/// One socket link with its coordinator end decorated for link `node`,
+/// incarnation `epoch`; `node_end` is the raw far side (the node).
 struct Rig {
   std::shared_ptr<FaultController> controller;
-  std::unique_ptr<Endpoint> sender;  ///< decorated
-  std::unique_ptr<Endpoint> receiver;
+  std::unique_ptr<Endpoint> coordinator;  ///< decorated
+  std::unique_ptr<Endpoint> node_end;
 
-  Rig(const FaultRates& rates, std::uint64_t seed, bool armed = true) {
-    auto [coordinator, node] = make_transport_pair(TransportKind::kRing, 4096);
+  explicit Rig(const FaultConfig& config, bool armed = true,
+               std::uint32_t node = 0, std::uint32_t epoch = 1) {
+    auto [coordinator_end, far_end] =
+        make_transport_pair(TransportKind::kSocket);
     controller = std::make_shared<FaultController>();
     if (armed) controller->arm();
-    sender = std::make_unique<FaultInjectingEndpoint>(
-        std::move(coordinator), controller,
-        FaultInjectingEndpoint::Direction::kToNode, rates, seed);
-    receiver = std::move(node);
+    coordinator = decorate_coordinator_end(std::move(coordinator_end),
+                                           controller, config, node, epoch);
+    node_end = std::move(far_end);
   }
 };
+
+FaultConfig node_bound(const FaultRates& rates, std::uint64_t seed) {
+  FaultConfig config;
+  config.seed = seed;
+  config.to_node = rates;
+  return config;
+}
+
+FaultConfig coordinator_bound(const FaultRates& rates,
+                              std::uint64_t seed = 101) {
+  FaultConfig config;
+  config.seed = seed;
+  config.to_coordinator = rates;
+  return config;
+}
+
+/// Receive everything `receiver` has within `quiet` of silence; returns
+/// the arrivals, intact and corrupt.
+std::uint64_t drain(Endpoint& receiver, std::chrono::nanoseconds quiet = 0ns) {
+  std::uint64_t arrived = 0;
+  for (;;) {
+    Frame got;
+    std::string error;
+    const auto r = receiver.recv(&got, quiet, &error);
+    if (r != Endpoint::RecvResult::kFrame &&
+        r != Endpoint::RecvResult::kCorrupt)
+      return arrived;
+    ++arrived;
+  }
+}
+
+/// Which of `frames` node-bound sends arrived, frame by frame.
+std::vector<bool> arrivals(Rig& rig, std::uint64_t frames) {
+  std::vector<bool> arrived;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    EXPECT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    arrived.push_back(drain(*rig.node_end) == 1);
+  }
+  return arrived;
+}
 
 TEST(Fault, SameSeedSameSchedule) {
   const FaultRates rates{.drop = 0.2, .delay = 0.0, .duplicate = 0.1,
                          .corrupt = 0.15};
   FaultStats stats[2];
   for (int run = 0; run < 2; ++run) {
-    Rig rig(rates, /*seed=*/0xabcdef);
-    for (std::uint64_t i = 0; i < 500; ++i)
-      ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    Rig rig(node_bound(rates, /*seed=*/0xabcdef));
+    for (std::uint64_t i = 0; i < 500; ++i) {
+      ASSERT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
+      drain(*rig.node_end);
+    }
     stats[run] = rig.controller->stats();
   }
   EXPECT_EQ(stats[0].dropped, stats[1].dropped);
@@ -69,54 +119,52 @@ TEST(Fault, SameSeedSameSchedule) {
 
 TEST(Fault, DifferentSeedsDifferentSchedules) {
   const FaultRates rates{.drop = 0.5};
-  std::vector<std::uint64_t> first_drop;
-  for (const std::uint64_t seed : {1ull, 2ull}) {
-    Rig rig(rates, seed);
-    std::string error;
-    for (std::uint64_t i = 0; i < 64; ++i) {
-      ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
-      Frame got;
-      if (rig.receiver->recv(&got, 10ms, &error) ==
-          Endpoint::RecvResult::kTimeout) {
-        first_drop.push_back(i);
-        break;
-      }
-    }
-  }
-  ASSERT_EQ(first_drop.size(), 2u);
-  EXPECT_NE(first_drop[0], first_drop[1]);
+  Rig one(node_bound(rates, 1));
+  Rig two(node_bound(rates, 2));
+  EXPECT_NE(arrivals(one, 64), arrivals(two, 64));
+}
+
+TEST(Fault, EachLinkAndIncarnationDrawsItsOwnSchedule) {
+  // One config seed, many links: the decoration salts it with the node
+  // id and the link epoch, so two links (or a link and its re-joined
+  // incarnation) never replay each other's faults — while the same
+  // (seed, node, epoch) replays exactly.
+  const FaultConfig config = node_bound(FaultRates{.drop = 0.5}, 7);
+  Rig base(config, true, /*node=*/1, /*epoch=*/1);
+  Rig replay(config, true, /*node=*/1, /*epoch=*/1);
+  Rig other_node(config, true, /*node=*/2, /*epoch=*/1);
+  Rig rejoined(config, true, /*node=*/1, /*epoch=*/2);
+  const std::vector<bool> schedule = arrivals(base, 64);
+  EXPECT_EQ(arrivals(replay, 64), schedule);
+  EXPECT_NE(arrivals(other_node, 64), schedule);
+  EXPECT_NE(arrivals(rejoined, 64), schedule);
 }
 
 TEST(Fault, DropRateIsStatisticallyHonored) {
-  const FaultRates rates{.drop = 0.3};
-  Rig rig(rates, 7);
+  Rig rig(node_bound(FaultRates{.drop = 0.3}, 7));
   constexpr std::uint64_t kFrames = 2000;
-  for (std::uint64_t i = 0; i < kFrames; ++i)
-    ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
+  std::uint64_t arrived = 0;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    arrived += drain(*rig.node_end);
+  }
+  arrived += drain(*rig.node_end, 10ms);
   const FaultStats stats = rig.controller->stats();
   // Binomial(2000, 0.3): mean 600, sd ~20. Six sigma on either side.
   EXPECT_GT(stats.dropped, 480u);
   EXPECT_LT(stats.dropped, 720u);
   // Everything not dropped arrived.
-  std::uint64_t arrived = 0;
-  Frame got;
-  std::string error;
-  while (rig.receiver->recv(&got, 10ms, &error) ==
-         Endpoint::RecvResult::kFrame)
-    ++arrived;
   EXPECT_EQ(arrived, kFrames - stats.dropped);
 }
 
 TEST(Fault, CorruptAlwaysSurfacesAsCorruptFrames) {
-  const FaultRates rates{.corrupt = 1.0};
-  Rig rig(rates, 11);
+  Rig rig(node_bound(FaultRates{.corrupt = 1.0}, 11));
   constexpr std::uint64_t kFrames = 50;
-  for (std::uint64_t i = 0; i < kFrames; ++i)
-    ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
   std::string error;
   for (std::uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
     Frame got;
-    EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+    EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
               Endpoint::RecvResult::kCorrupt)
         << "frame " << i;
   }
@@ -124,13 +172,12 @@ TEST(Fault, CorruptAlwaysSurfacesAsCorruptFrames) {
 }
 
 TEST(Fault, DuplicateDeliversTwice) {
-  const FaultRates rates{.duplicate = 1.0};
-  Rig rig(rates, 13);
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+  Rig rig(node_bound(FaultRates{.duplicate = 1.0}, 13));
+  ASSERT_EQ(rig.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
   std::string error;
   for (int copy = 0; copy < 2; ++copy) {
     Frame got;
-    ASSERT_EQ(rig.receiver->recv(&got, 1s, &error),
+    ASSERT_EQ(rig.node_end->recv(&got, 1s, &error),
               Endpoint::RecvResult::kFrame)
         << "copy " << copy << ": " << error;
     QueryBatchMsg m;
@@ -138,22 +185,22 @@ TEST(Fault, DuplicateDeliversTwice) {
     EXPECT_EQ(m.submission, 0u);
   }
   Frame got;
-  EXPECT_EQ(rig.receiver->recv(&got, 20ms, &error),
+  EXPECT_EQ(rig.node_end->recv(&got, 20ms, &error),
             Endpoint::RecvResult::kTimeout);
   EXPECT_EQ(rig.controller->stats().duplicated, 1u);
 }
 
 TEST(Fault, DelayedFramesStillArrive) {
-  const FaultRates rates{.delay = 1.0, .delay_ns = 5'000'000};  // <= 5ms late
-  Rig rig(rates, 17);
+  // <= 5ms late each.
+  Rig rig(node_bound(FaultRates{.delay = 1.0, .delay_ns = 5'000'000}, 17));
   constexpr std::uint64_t kFrames = 20;
   for (std::uint64_t i = 0; i < kFrames; ++i)
-    ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    ASSERT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
   std::string error;
   std::uint64_t arrived = 0;
   for (std::uint64_t i = 0; i < kFrames; ++i) {
     Frame got;
-    if (rig.receiver->recv(&got, 1s, &error) == Endpoint::RecvResult::kFrame)
+    if (rig.node_end->recv(&got, 1s, &error) == Endpoint::RecvResult::kFrame)
       ++arrived;
   }
   EXPECT_EQ(arrived, kFrames);
@@ -161,26 +208,26 @@ TEST(Fault, DelayedFramesStillArrive) {
 }
 
 TEST(Fault, HealedInjectorPassesEverythingThrough) {
-  const FaultRates rates{.drop = 1.0};  // would eat every frame if armed
-  Rig rig(rates, 19, /*armed=*/false);
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+  // drop = 1 would eat every frame if armed.
+  Rig rig(node_bound(FaultRates{.drop = 1.0}, 19), /*armed=*/false);
+  ASSERT_EQ(rig.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+  EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
             Endpoint::RecvResult::kFrame)
       << error;
   EXPECT_EQ(rig.controller->stats().dropped, 0u);
 
   // arm() turns the faucet: now the same rate eats the frame.
   rig.controller->arm();
-  ASSERT_EQ(rig.sender->send(ping(1), 1s), Endpoint::SendResult::kOk);
-  EXPECT_EQ(rig.receiver->recv(&got, 20ms, &error),
+  ASSERT_EQ(rig.coordinator->send(ping(1), 1s), Endpoint::SendResult::kOk);
+  EXPECT_EQ(rig.node_end->recv(&got, 20ms, &error),
             Endpoint::RecvResult::kTimeout);
 
   // heal() restores the clean wire.
   rig.controller->heal();
-  ASSERT_EQ(rig.sender->send(ping(2), 1s), Endpoint::SendResult::kOk);
-  EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+  ASSERT_EQ(rig.coordinator->send(ping(2), 1s), Endpoint::SendResult::kOk);
+  EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
             Endpoint::RecvResult::kFrame)
       << error;
 }
@@ -189,18 +236,18 @@ TEST(Fault, PartitionBlackHolesEvenWhenHealed) {
   // Partition cuts the wire regardless of armed(): zero rates, healed
   // controller — and still nothing gets through until the partition
   // lifts.
-  Rig rig(FaultRates{}, 23, /*armed=*/false);
+  Rig rig(FaultConfig{}, /*armed=*/false);
   rig.controller->partition(true);
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+  ASSERT_EQ(rig.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.receiver->recv(&got, 20ms, &error),
+  EXPECT_EQ(rig.node_end->recv(&got, 20ms, &error),
             Endpoint::RecvResult::kTimeout);
   EXPECT_EQ(rig.controller->stats().dropped, 1u);
 
   rig.controller->partition(false);
-  ASSERT_EQ(rig.sender->send(ping(1), 1s), Endpoint::SendResult::kOk);
-  EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+  ASSERT_EQ(rig.coordinator->send(ping(1), 1s), Endpoint::SendResult::kOk);
+  EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
             Endpoint::RecvResult::kFrame)
       << error;
 
@@ -210,76 +257,55 @@ TEST(Fault, PartitionBlackHolesEvenWhenHealed) {
   EXPECT_FALSE(rig.controller->partitioned());
 }
 
-TEST(Fault, FaultyPairDecoratesBothDirections) {
+TEST(Fault, OneDecorationCoversBothDirections) {
   FaultConfig config;
   config.seed = 31;
   config.to_node.corrupt = 1.0;
   config.to_coordinator.drop = 1.0;
-  FaultyPair pair = make_faulty_transport_pair(TransportKind::kRing, config);
-  ASSERT_NE(pair.controller, nullptr);
-  EXPECT_TRUE(pair.controller->armed());
+  Rig rig(config);
 
-  // coordinator -> node: corrupted.
-  ASSERT_EQ(pair.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
+  // coordinator -> node: corrupted on the way out.
+  ASSERT_EQ(rig.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(pair.node->recv(&got, 1s, &error), Endpoint::RecvResult::kCorrupt);
+  EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
+            Endpoint::RecvResult::kCorrupt);
 
-  // node -> coordinator: dropped.
-  ASSERT_EQ(pair.node->send(ping(1), 1s), Endpoint::SendResult::kOk);
-  EXPECT_EQ(pair.coordinator->recv(&got, 20ms, &error),
+  // node -> coordinator: dropped at intake.
+  ASSERT_EQ(rig.node_end->send(ping(1), 1s), Endpoint::SendResult::kOk);
+  EXPECT_EQ(rig.coordinator->recv(&got, 20ms, &error),
             Endpoint::RecvResult::kTimeout);
 
-  const FaultStats stats = pair.controller->stats();
+  const FaultStats stats = rig.controller->stats();
   EXPECT_EQ(stats.corrupted, 1u);
   EXPECT_EQ(stats.dropped, 1u);
 }
 
-// --- Recv-side mode (process links: only one end lives here) --------------
+// --- Intake: the node -> coordinator direction -----------------------------
 
-/// One link whose RECEIVING end is decorated in Mode::kRecvSide — the
-/// shape the coordinator uses for a fork/tcp link, where the node's end
-/// of the wire lives in another process and can't be wrapped.
-struct RecvRig {
-  std::shared_ptr<FaultController> controller;
-  std::unique_ptr<Endpoint> sender;  ///< raw (the "remote process")
-  std::unique_ptr<Endpoint> receiver;  ///< decorated at intake
-
-  explicit RecvRig(const FaultRates& rates, std::uint64_t seed = 101) {
-    auto [coordinator, node] = make_transport_pair(TransportKind::kRing, 4096);
-    controller = std::make_shared<FaultController>();
-    controller->arm();
-    receiver = std::make_unique<FaultInjectingEndpoint>(
-        std::move(coordinator), controller,
-        FaultInjectingEndpoint::Direction::kToCoordinator, rates, seed,
-        FaultInjectingEndpoint::Mode::kRecvSide);
-    sender = std::move(node);
-  }
-};
-
-TEST(Fault, RecvSideDropSwallowsArrivals) {
-  RecvRig rig(FaultRates{.drop = 1.0});
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+TEST(Fault, IntakeDropSwallowsArrivals) {
+  Rig rig(coordinator_bound(FaultRates{.drop = 1.0}));
+  ASSERT_EQ(rig.node_end->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.receiver->recv(&got, 30ms, &error),
+  EXPECT_EQ(rig.coordinator->recv(&got, 30ms, &error),
             Endpoint::RecvResult::kTimeout);
   EXPECT_EQ(rig.controller->stats().dropped, 1u);
 }
 
-TEST(Fault, RecvSideCorruptSurfacesAndStreamStaysClean) {
-  RecvRig rig(FaultRates{.corrupt = 1.0});
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+TEST(Fault, IntakeCorruptSurfacesAndStreamStaysClean) {
+  Rig rig(coordinator_bound(FaultRates{.corrupt = 1.0}));
+  ASSERT_EQ(rig.node_end->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+  EXPECT_EQ(rig.coordinator->recv(&got, 1s, &error),
             Endpoint::RecvResult::kCorrupt);
   EXPECT_FALSE(error.empty());
   // Heal: the next frame arrives intact — intake damage never wedges
   // the framing.
   rig.controller->heal();
-  ASSERT_EQ(rig.sender->send(ping(1), 1s), Endpoint::SendResult::kOk);
-  ASSERT_EQ(rig.receiver->recv(&got, 1s, &error),
+  ASSERT_EQ(rig.node_end->send(ping(1), 1s), Endpoint::SendResult::kOk);
+  ASSERT_EQ(rig.coordinator->recv(&got, 1s, &error),
             Endpoint::RecvResult::kFrame)
       << error;
   QueryBatchMsg m;
@@ -287,13 +313,13 @@ TEST(Fault, RecvSideCorruptSurfacesAndStreamStaysClean) {
   EXPECT_EQ(m.submission, 1u);
 }
 
-TEST(Fault, RecvSideDuplicateDeliversTwice) {
-  RecvRig rig(FaultRates{.duplicate = 1.0});
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+TEST(Fault, IntakeDuplicateDeliversTwice) {
+  Rig rig(coordinator_bound(FaultRates{.duplicate = 1.0}));
+  ASSERT_EQ(rig.node_end->send(ping(0), 1s), Endpoint::SendResult::kOk);
   std::string error;
   for (int copy = 0; copy < 2; ++copy) {
     Frame got;
-    ASSERT_EQ(rig.receiver->recv(&got, 1s, &error),
+    ASSERT_EQ(rig.coordinator->recv(&got, 1s, &error),
               Endpoint::RecvResult::kFrame)
         << "copy " << copy << ": " << error;
     QueryBatchMsg m;
@@ -301,64 +327,78 @@ TEST(Fault, RecvSideDuplicateDeliversTwice) {
     EXPECT_EQ(m.submission, 0u);
   }
   Frame got;
-  EXPECT_EQ(rig.receiver->recv(&got, 20ms, &error),
+  EXPECT_EQ(rig.coordinator->recv(&got, 20ms, &error),
             Endpoint::RecvResult::kTimeout);
   EXPECT_EQ(rig.controller->stats().duplicated, 1u);
 }
 
-TEST(Fault, RecvSideDelayedFramesStillArrive) {
-  RecvRig rig(FaultRates{.delay = 1.0, .delay_ns = 5'000'000});
+TEST(Fault, IntakeDelayedFramesStillArrive) {
+  Rig rig(coordinator_bound(FaultRates{.delay = 1.0, .delay_ns = 5'000'000}));
   constexpr std::uint64_t kFrames = 20;
   for (std::uint64_t i = 0; i < kFrames; ++i)
-    ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    ASSERT_EQ(rig.node_end->send(ping(i), 1s), Endpoint::SendResult::kOk);
   std::string error;
   std::uint64_t arrived = 0;
   for (std::uint64_t i = 0; i < kFrames; ++i) {
     Frame got;
-    if (rig.receiver->recv(&got, 1s, &error) == Endpoint::RecvResult::kFrame)
+    if (rig.coordinator->recv(&got, 1s, &error) ==
+        Endpoint::RecvResult::kFrame)
       ++arrived;
   }
   EXPECT_EQ(arrived, kFrames);
   EXPECT_EQ(rig.controller->stats().delayed, kFrames);
 }
 
-TEST(Fault, RecvSideLeavesSendsAlone) {
-  // The recv-side decorator injects at INTAKE only: its own sends are a
-  // passthrough (the send-side decoration for the other direction is a
-  // separate wrapper in the real double-decorated stack).
-  RecvRig rig(FaultRates{.drop = 1.0});
-  ASSERT_EQ(rig.receiver->send(ping(0), 1s), Endpoint::SendResult::kOk);
+TEST(Fault, IntakeRatesLeaveOutgoingFramesAlone) {
+  // Coordinator-bound rates perturb arrivals only: the coordinator's
+  // own sends take the node-bound rates, zero here.
+  Rig rig(coordinator_bound(FaultRates{.drop = 1.0}));
+  ASSERT_EQ(rig.coordinator->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.sender->recv(&got, 1s, &error), Endpoint::RecvResult::kFrame)
+  EXPECT_EQ(rig.node_end->recv(&got, 1s, &error),
+            Endpoint::RecvResult::kFrame)
       << error;
   EXPECT_EQ(rig.controller->stats().dropped, 0u);
 }
 
-TEST(Fault, RecvSidePartitionBlackHolesArrivals) {
-  RecvRig rig(FaultRates{});
+TEST(Fault, IntakePartitionBlackHolesArrivals) {
+  Rig rig(FaultConfig{});
   rig.controller->partition(true);
-  ASSERT_EQ(rig.sender->send(ping(0), 1s), Endpoint::SendResult::kOk);
+  ASSERT_EQ(rig.node_end->send(ping(0), 1s), Endpoint::SendResult::kOk);
   Frame got;
   std::string error;
-  EXPECT_EQ(rig.receiver->recv(&got, 30ms, &error),
+  EXPECT_EQ(rig.coordinator->recv(&got, 30ms, &error),
             Endpoint::RecvResult::kTimeout);
   rig.controller->partition(false);
-  ASSERT_EQ(rig.sender->send(ping(1), 1s), Endpoint::SendResult::kOk);
-  EXPECT_EQ(rig.receiver->recv(&got, 1s, &error),
+  ASSERT_EQ(rig.node_end->send(ping(1), 1s), Endpoint::SendResult::kOk);
+  EXPECT_EQ(rig.coordinator->recv(&got, 1s, &error),
             Endpoint::RecvResult::kFrame)
       << error;
 }
 
 TEST(Fault, StatsCountPerDirectionIntoOneTotal) {
-  const FaultRates rates{.drop = 1.0};
-  Rig rig(rates, 37);
-  for (std::uint64_t i = 0; i < 5; ++i)
-    ASSERT_EQ(rig.sender->send(ping(i), 1s), Endpoint::SendResult::kOk);
+  FaultConfig config;
+  config.seed = 37;
+  config.to_node.drop = 1.0;
+  config.to_coordinator.drop = 1.0;
+  Rig rig(config);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(rig.coordinator->send(ping(i), 1s), Endpoint::SendResult::kOk);
+    ASSERT_EQ(rig.node_end->send(ping(i), 1s), Endpoint::SendResult::kOk);
+  }
+  EXPECT_EQ(drain(*rig.coordinator, 20ms), 0u);
   const FaultStats stats = rig.controller->stats();
-  EXPECT_EQ(stats.dropped, 5u);
+  EXPECT_EQ(stats.dropped, 10u);
   EXPECT_EQ(stats.forwarded, 0u);
   EXPECT_EQ(stats.corrupted, 0u);
+}
+
+TEST(FaultDeath, DelayRateNeedsALatenessBound) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FaultConfig config = coordinator_bound(FaultRates{.delay = 0.5});
+  config.to_coordinator.delay_ns = 0;
+  EXPECT_DEATH(Rig{config}, "delay_ns = 0");
 }
 
 }  // namespace

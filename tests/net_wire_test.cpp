@@ -2,9 +2,10 @@
 // every malformed input — truncated, oversized, garbage magic, future
 // version, length-field lies — is REJECTED with a diagnostic, never an
 // out-of-bounds read, huge allocation, or abort. Plus the transport
-// seam: ring, socket, fork, and tcp endpoints carry identical
-// encode_frame bytes, survive a two-thread race under TSan, and
-// convert close() into explicit results instead of hangs.
+// seam: socket, fork, and tcp endpoints carry identical encode_frame
+// bytes, survive a two-thread race under TSan, time out under
+// backpressure, and convert close() into explicit results instead of
+// hangs.
 #include "src/net/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/fd_endpoint.hpp"
 #include "src/net/transport.hpp"
 
 namespace dici::net {
@@ -21,11 +23,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// All four kinds as in-process pairs (make_transport_pair gives kFork
+/// All three kinds as in-process pairs (make_transport_pair gives kFork
 /// its socketpair and kTcp its loopback connection without spawning
 /// anything, so the byte-level contract is testable right here).
-constexpr TransportKind kAllKinds[] = {TransportKind::kRing,
-                                       TransportKind::kSocket,
+constexpr TransportKind kAllKinds[] = {TransportKind::kSocket,
                                        TransportKind::kFork,
                                        TransportKind::kTcp};
 
@@ -367,7 +368,7 @@ TEST(Wire, EmptyPayloadChecksumHolds) {
 
 TEST(Transport, EpochSurvivesTheWireAndSeqIsStamped) {
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 16);
+    auto [coordinator, node] = make_transport_pair(kind);
     Frame f = encode_heartbeat(3, {.send_ns = 1});
     f.header.epoch = 42;
     ASSERT_EQ(coordinator->send(f, 1s), Endpoint::SendResult::kOk);
@@ -398,7 +399,7 @@ Frame test_frame(std::uint64_t i) {
 
 TEST(Transport, BothKindsCarryIdenticalFrames) {
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 16);
+    auto [coordinator, node] = make_transport_pair(kind);
     for (std::uint64_t i = 0; i < 100; ++i) {
       ASSERT_EQ(coordinator->send(test_frame(i), 1s),
                 Endpoint::SendResult::kOk)
@@ -428,7 +429,7 @@ TEST(Transport, CorruptPayloadIsReportedAndStreamStaysClean) {
   // injector's corrupt mode does) must surface as kCorrupt — consumed,
   // diagnosed, and the NEXT frame must arrive intact.
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 16);
+    auto [coordinator, node] = make_transport_pair(kind);
     Frame damaged = test_frame(0);
     damaged.payload[3] ^= 0xff;  // post-seal damage
     ASSERT_EQ(coordinator->send(damaged, 1s), Endpoint::SendResult::kOk);
@@ -447,7 +448,7 @@ TEST(Transport, CorruptPayloadIsReportedAndStreamStaysClean) {
 
 TEST(Transport, RecvTimesOutOnSilence) {
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 4);
+    auto [coordinator, node] = make_transport_pair(kind);
     Frame frame;
     std::string error;
     EXPECT_EQ(node->recv(&frame, 10ms, &error),
@@ -458,7 +459,7 @@ TEST(Transport, RecvTimesOutOnSilence) {
 
 TEST(Transport, CloseUnblocksPeerAndDrainsBufferedFrames) {
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 16);
+    auto [coordinator, node] = make_transport_pair(kind);
     ASSERT_EQ(coordinator->send(test_frame(0), 1s), Endpoint::SendResult::kOk);
     coordinator->close();
     // The frame sent before the close still arrives (ordered drain)...
@@ -483,15 +484,68 @@ TEST(Transport, CloseUnblocksPeerAndDrainsBufferedFrames) {
   }
 }
 
-TEST(Transport, RingBackpressureTimesOutWhenReceiverStalls) {
-  auto [coordinator, node] = make_transport_pair(TransportKind::kRing, 2);
-  // Nobody ever receives: the ring fills, then send must time out (the
-  // dead-node case — without this, a wedged node would hang the
-  // dispatcher forever).
-  Endpoint::SendResult result = Endpoint::SendResult::kOk;
-  for (int i = 0; i < 8 && result == Endpoint::SendResult::kOk; ++i)
-    result = coordinator->send(test_frame(i), 20ms);
-  EXPECT_EQ(result, Endpoint::SendResult::kTimeout);
+TEST(Transport, BackpressureTimesOutWhenReceiverStalls) {
+  // Nobody ever receives: the kernel's socket buffers fill, then send
+  // must time out (the dead-node case — without this, a wedged node
+  // would hang the dispatcher forever). 256 KiB frames overrun even
+  // loopback TCP's autotuned buffers within a few dozen sends.
+  QueryBatchMsg msg;
+  msg.keys.resize(64 * 1024, 7);
+  msg.ids.resize(msg.keys.size(), 1);
+  const Frame big = encode_query_batch(kCoordinatorId, msg);
+  for (const TransportKind kind : kAllKinds) {
+    auto [coordinator, node] = make_transport_pair(kind);
+    Endpoint::SendResult result = Endpoint::SendResult::kOk;
+    for (int i = 0; i < 256 && result == Endpoint::SendResult::kOk; ++i)
+      result = coordinator->send(big, 20ms);
+    EXPECT_EQ(result, Endpoint::SendResult::kTimeout) << transport_name(kind);
+  }
+}
+
+TEST(Transport, TimedOutSendNeverTearsAFrame) {
+  // A send that times out with its frame half written must not leave
+  // the half on the wire: the next frame would be read as the rest of
+  // it, the stream would lose its framing, and the peer would drop the
+  // link as a protocol breach. Fill the link until a send times out,
+  // then drain: every frame that arrives is whole, and a frame sent
+  // after the timeout arrives intact.
+  QueryBatchMsg msg;
+  msg.keys.resize(64 * 1024, 7);
+  msg.ids.resize(msg.keys.size(), 1);
+  const Frame big = encode_query_batch(kCoordinatorId, msg);
+  for (const TransportKind kind : kAllKinds) {
+    auto [coordinator, node] = make_transport_pair(kind);
+    Endpoint::SendResult result = Endpoint::SendResult::kOk;
+    for (int i = 0; i < 256 && result == Endpoint::SendResult::kOk; ++i)
+      result = coordinator->send(big, 20ms);
+    ASSERT_EQ(result, Endpoint::SendResult::kTimeout) << transport_name(kind);
+
+    // Drain on another thread while one more frame goes out: every
+    // arrival must decode, up to and including that frame.
+    std::string error;
+    bool intact = true;
+    std::uint64_t last = 0;
+    std::thread reader([&] {
+      for (;;) {
+        Frame got;
+        QueryBatchMsg m;
+        if (node->recv(&got, 2s, &error) != Endpoint::RecvResult::kFrame ||
+            !decode_query_batch(got, &m, &error)) {
+          intact = false;
+          return;
+        }
+        if (m.keys.size() != msg.keys.size()) {
+          last = m.submission;
+          return;
+        }
+      }
+    });
+    EXPECT_EQ(coordinator->send(test_frame(7), 2s), Endpoint::SendResult::kOk)
+        << transport_name(kind);
+    reader.join();
+    EXPECT_TRUE(intact) << transport_name(kind) << ": " << error;
+    EXPECT_EQ(last, 7u) << transport_name(kind);
+  }
 }
 
 TEST(Transport, RacedBidirectionalTrafficStaysOrderedAndIntact) {
@@ -499,7 +553,7 @@ TEST(Transport, RacedBidirectionalTrafficStaysOrderedAndIntact) {
   // hammer one link in both directions. Per direction, frames must
   // arrive in order with payloads intact.
   for (const TransportKind kind : kAllKinds) {
-    auto [coordinator, node] = make_transport_pair(kind, 8);
+    auto [coordinator, node] = make_transport_pair(kind);
     constexpr std::uint64_t kFrames = 2000;
     std::atomic<bool> fail{false};
 
@@ -540,6 +594,17 @@ TEST(Transport, RacedBidirectionalTrafficStaysOrderedAndIntact) {
   }
 }
 
+TEST(Transport, TcpAcceptTimesOutWhenNobodyConnects) {
+  // A spawned child that dies before connecting back must cost the
+  // coordinator its accept deadline, not hang it.
+  TcpListener listener;
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(listener.accept(20ms, &error), nullptr);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+  EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+}
+
 TEST(Transport, ParseAndNameRoundTrip) {
   for (const TransportKind kind : kAllKinds) {
     TransportKind parsed{};
@@ -549,11 +614,10 @@ TEST(Transport, ParseAndNameRoundTrip) {
   }
   TransportKind kind{};
   EXPECT_FALSE(transport_parse("carrier-pigeon", &kind));
-  EXPECT_STREQ(transport_name(TransportKind::kRing), "ring");
+  EXPECT_FALSE(transport_parse("ring", &kind));  // retired transport
   EXPECT_STREQ(transport_name(TransportKind::kSocket), "socket");
   EXPECT_STREQ(transport_name(TransportKind::kFork), "fork");
   EXPECT_STREQ(transport_name(TransportKind::kTcp), "tcp");
-  EXPECT_FALSE(transport_is_process(TransportKind::kRing));
   EXPECT_FALSE(transport_is_process(TransportKind::kSocket));
   EXPECT_TRUE(transport_is_process(TransportKind::kFork));
   EXPECT_TRUE(transport_is_process(TransportKind::kTcp));

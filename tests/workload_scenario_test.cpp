@@ -182,7 +182,8 @@ TEST(ScenarioMatrix, NonC3SpecSkipsParallelBackend) {
 
 TEST(ScenarioMatrix, ClusterCellsCarryTheirTransport) {
   // Cluster cells run over a real frame transport and record which one;
-  // backends that never serialize a frame record "-". Both transports
+  // backends that never serialize a frame record "-". Both transports —
+  // node threads over a socketpair, and spawned dici_node children —
   // must stay rank-exact through the matrix.
   ScenarioRegistry registry;
   ScenarioSpec spec;
@@ -192,7 +193,7 @@ TEST(ScenarioMatrix, ClusterCellsCarryTheirTransport) {
   spec.stream_batches = 3;
   registry.add(spec);
   for (const net::TransportKind transport :
-       {net::TransportKind::kRing, net::TransportKind::kSocket}) {
+       {net::TransportKind::kSocket, net::TransportKind::kFork}) {
     MatrixOptions options;
     options.backends = {core::Backend::kCluster, core::Backend::kSim};
     options.transport = transport;
