@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
         "  (7 us latency + bytes/W2): the in-host transports undercut it —\n"
         "  the gap a real NIC hop would close. Ping-pong is the transports'\n"
         "  worst case (one poll wake-up per bounce, no pipelining). All\n"
-        "  three move the same wire-v2 bytes through the kernel's socket\n"
+        "  three move the same wire-v3 bytes through the kernel's socket\n"
         "  layer — in the sweep below the fork and tcp cells cross a real\n"
         "  process boundary into spawned dici_node children.\n\n");
   }

@@ -13,7 +13,7 @@
 // UNIX-domain socketpair to node threads in this process (kSocket), a
 // socketpair inherited across fork/exec into a spawned dici_node child
 // (kFork), and a loopback TCP connection to a spawned child (kTcp) —
-// and all three carry identical wire-v2 bytes through the same
+// and all three carry identical wire-v3 bytes through the same
 // FdEndpoint, so bench_cluster can put a real number on what
 // LinkModel::message_ps simulates, and the SAME test suite runs
 // against threads and against real processes.

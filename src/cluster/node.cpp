@@ -80,6 +80,10 @@ bool NodeService::await_config() {
 void NodeService::serve() {
   const auto interval = std::chrono::milliseconds(heartbeat_interval_ms_);
   auto last_heartbeat = std::chrono::steady_clock::now() - interval;
+  // One frame for the whole loop, so each recv reuses its payload's
+  // capacity.
+  net::Frame frame;
+  std::string error;
   for (;;) {
     if (killed_.load(std::memory_order_acquire)) return;  // silent hang
     const auto now = std::chrono::steady_clock::now();
@@ -96,8 +100,6 @@ void NodeService::serve() {
       last_heartbeat = now;
     }
 
-    net::Frame frame;
-    std::string error;
     switch (link_.recv(&frame, interval, &error)) {
       case net::Endpoint::RecvResult::kTimeout:
         continue;  // loop sends the next heartbeat
@@ -176,32 +178,30 @@ bool NodeService::handle_build_shard(const net::Frame& frame) {
 }
 
 bool NodeService::handle_query_batch(const net::Frame& frame) {
-  net::QueryBatchMsg msg;
   std::string error;
-  if (!net::decode_query_batch(frame, &msg, &error)) return false;
-  const auto it = replicas_.find(msg.shard);
+  if (!net::decode_query_batch(frame, &query_, &error)) return false;
+  const auto it = replicas_.find(query_.shard);
   // A batch for a shard this node never received is a coordinator bug —
   // an in-process invariant, so fail loud rather than silent-drop.
   DICI_CHECK_FMT(it != replicas_.end(),
                  "cluster node %u: query batch for shard %u, but this node "
                  "holds %zu replicas and none by that id",
-                 id_, msg.shard, replicas_.size());
+                 id_, query_.shard, replicas_.size());
   const Replica& replica = it->second;
 
   WallTimer busy;
-  net::RankBatchMsg reply;
-  reply.submission = msg.submission;
-  reply.shard = msg.shard;
-  reply.chunk = msg.chunk;  // the claim ticket: echoes which dispatch
-                            // chunk these answers settle
-  reply.ids = std::move(msg.ids);
-  reply.ranks.resize(msg.keys.size());
+  reply_.submission = query_.submission;
+  reply_.shard = query_.shard;
+  reply_.chunk = query_.chunk;  // the claim ticket: echoes which dispatch
+                                // chunk these answers settle
+  reply_.ids.swap(query_.ids);  // the ids go back as they came
+  reply_.ranks.resize(query_.keys.size());
   index::resolve_batch(kernel_, replica.keys, replica.layout.get(),
-                       msg.keys, reply.ranks.data());
-  for (rank_t& r : reply.ranks) r += replica.global_offset;
-  reply.busy_ns = static_cast<std::uint64_t>(busy.elapsed_ns());
+                       query_.keys, reply_.ranks.data());
+  for (rank_t& r : reply_.ranks) r += replica.global_offset;
+  reply_.busy_ns = static_cast<std::uint64_t>(busy.elapsed_ns());
 
-  net::Frame out = net::encode_rank_batch(id_, reply);
+  net::Frame out = net::encode_rank_batch(id_, reply_);
   out.header.epoch = epoch_;
   return link_.send(out, kControlTimeout) == net::Endpoint::SendResult::kOk;
 }

@@ -117,6 +117,10 @@ class NodeService {
   Membership membership_{1};  ///< service-thread-only mirror, resized
                               ///< once kNodeConfig names the cluster
   std::map<std::uint32_t, Replica> replicas_;  ///< service-thread-only
+  /// The serve loop's decode and reply buffers, kept across batches so
+  /// a batch reuses their capacity. Service-thread-only.
+  net::QueryBatchMsg query_;
+  net::RankBatchMsg reply_;
 };
 
 /// What the coordinator holds per node slot: something it can kill and

@@ -152,7 +152,7 @@ struct ExperimentConfig {
   /// UNIX-domain socketpair to in-process node threads, a socketpair
   /// inherited across fork/exec by a spawned dici_node process (kFork),
   /// or a loopback TCP connection to a spawned process (kTcp). Same
-  /// wire-v2 bytes on all three, so crossing a process boundary changes
+  /// wire-v3 bytes on all three, so crossing a process boundary changes
   /// nothing above the transport.
   net::TransportKind transport = net::TransportKind::kSocket;
   /// Node -> coordinator heartbeat cadence. Must be >= 1 (validated).

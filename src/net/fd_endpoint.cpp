@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,9 +58,12 @@ bool poll_fd_until(int fd, short events, Clock::time_point deadline) {
   }
 }
 
-ssize_t send_some(int fd, const std::uint8_t* data, std::size_t len) {
+ssize_t send_some(int fd, const struct iovec* iov, std::size_t count) {
+  struct msghdr msg = {};
+  msg.msg_iov = const_cast<struct iovec*>(iov);
+  msg.msg_iovlen = count;
   for (;;) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL | MSG_DONTWAIT);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n >= 0 || errno != EINTR) return n;
   }
 }
@@ -80,7 +84,7 @@ void cloexec_socketpair(int fds[2]) {
 
 // --- FdEndpoint -----------------------------------------------------------
 
-FdEndpoint::FdEndpoint(int fd) : fd_(fd) {}
+FdEndpoint::FdEndpoint(int fd) : fd_(fd), buffer_(kRecvChunkBytes) {}
 
 FdEndpoint::~FdEndpoint() {
   close();
@@ -91,46 +95,72 @@ FdEndpoint::~FdEndpoint() {
 Endpoint::SendResult FdEndpoint::send(const Frame& frame,
                                       std::chrono::nanoseconds timeout) {
   const auto deadline = Clock::now() + timeout;
-  if (!unsent_.empty()) {
-    // The peer already holds the head of a frame whose send timed out:
-    // its tail goes first, or this frame would be read as the rest of
-    // it and the stream would lose its framing.
-    std::size_t sent = 0;
-    const SendResult result =
-        write_until(unsent_.data(), unsent_.size(), deadline, &sent);
-    unsent_.erase(unsent_.begin(),
-                  unsent_.begin() + static_cast<std::ptrdiff_t>(sent));
-    if (result != SendResult::kOk) return result;
-  }
-
   FrameHeader header = frame.header;
   header.seq = seq_++;
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes + frame.payload.size());
-  encode_frame_header(header, bytes.data());
-  if (!frame.payload.empty()) {
-    std::memcpy(bytes.data() + kFrameHeaderBytes, frame.payload.data(),
-                frame.payload.size());
-  }
+  std::uint8_t head[kFrameHeaderBytes] = {};
+  encode_frame_header(header, head);
+  // One gathered write: the unsent tail of a frame whose send timed out
+  // (the peer already holds its head, so it must go first or this frame
+  // would be read as the rest of it), then this frame's header and
+  // payload, each from where it lies.
+  const std::span<const std::uint8_t> parts[] = {
+      unsent_, {head, kFrameHeaderBytes}, frame.payload};
   std::size_t sent = 0;
-  const SendResult result =
-      write_until(bytes.data(), bytes.size(), deadline, &sent);
-  if (result == SendResult::kTimeout && sent > 0) {
-    unsent_.assign(bytes.begin() + static_cast<std::ptrdiff_t>(sent),
-                   bytes.end());
+  const SendResult result = write_until(parts, deadline, &sent);
+  if (result != SendResult::kOk) {
+    // Keep what the peer is still owed of any frame it has begun.
+    const std::size_t old_tail = unsent_.size();
+    if (sent < old_tail) {
+      // The old tail did not finish, so this frame never started.
+      unsent_.erase(unsent_.begin(),
+                    unsent_.begin() + static_cast<std::ptrdiff_t>(sent));
+    } else {
+      // This frame's header and payload from the first unsent byte on,
+      // which may lie inside the header; nothing if it never started.
+      const std::size_t done = sent - old_tail;
+      std::vector<std::uint8_t> owed;
+      if (done > 0) {
+        const std::size_t in_head = std::min(done, kFrameHeaderBytes);
+        owed.assign(head + in_head, head + kFrameHeaderBytes);
+        owed.insert(owed.end(),
+                    frame.payload.begin() +
+                        static_cast<std::ptrdiff_t>(done - in_head),
+                    frame.payload.end());
+      }
+      unsent_ = std::move(owed);
+    }
+    return result;
   }
-  if (result != SendResult::kOk) return result;
+  unsent_.clear();
   stats_messages_.fetch_add(1, std::memory_order_relaxed);
-  stats_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  stats_bytes_.fetch_add(kFrameHeaderBytes + frame.payload.size(),
+                         std::memory_order_relaxed);
   return SendResult::kOk;
 }
 
-Endpoint::SendResult FdEndpoint::write_until(const std::uint8_t* data,
-                                             std::size_t size,
-                                             Clock::time_point deadline,
-                                             std::size_t* sent) {
-  while (*sent < size) {
+Endpoint::SendResult FdEndpoint::write_until(
+    std::span<const std::span<const std::uint8_t>> parts,
+    Clock::time_point deadline, std::size_t* sent) {
+  struct iovec iov[kMaxSendParts] = {};
+  DICI_CHECK(parts.size() <= kMaxSendParts);
+  for (;;) {
+    // The parts not yet fully written, the first from where the last
+    // short write stopped.
+    std::size_t count = 0;
+    std::size_t skip = *sent;
+    for (const auto part : parts) {
+      if (skip >= part.size()) {
+        skip -= part.size();
+        continue;
+      }
+      iov[count].iov_base = const_cast<std::uint8_t*>(part.data() + skip);
+      iov[count].iov_len = part.size() - skip;
+      ++count;
+      skip = 0;
+    }
+    if (count == 0) return SendResult::kOk;
     if (closed_.load(std::memory_order_acquire)) return SendResult::kClosed;
-    const ssize_t n = send_some(fd_, data + *sent, size - *sent);
+    const ssize_t n = send_some(fd_, iov, count);
     if (n > 0) {
       *sent += static_cast<std::size_t>(n);
       continue;
@@ -141,7 +171,6 @@ Endpoint::SendResult FdEndpoint::write_until(const std::uint8_t* data,
       return SendResult::kClosed;
     if (!poll_fd_until(fd_, POLLOUT, deadline)) return SendResult::kTimeout;
   }
-  return SendResult::kOk;
 }
 
 Endpoint::RecvResult FdEndpoint::recv(Frame* frame,
@@ -151,22 +180,24 @@ Endpoint::RecvResult FdEndpoint::recv(Frame* frame,
   // Phase 1: a full header. Phase 2: the payload it promises. A header
   // that fails the bounds checks poisons the stream (we can no longer
   // find frame boundaries), so it is kError, not a skip.
-  while (buffer_.size() < kFrameHeaderBytes) {
-    const auto r = fill(deadline);
+  while (tail_ - head_ < kFrameHeaderBytes) {
+    const auto r = fill(kFrameHeaderBytes, deadline);
     if (r != RecvResult::kFrame) return r;
   }
   FrameHeader header;
-  if (!decode_frame_header(buffer_, &header, error)) return RecvResult::kError;
+  if (!decode_frame_header({buffer_.data() + head_, tail_ - head_}, &header,
+                           error))
+    return RecvResult::kError;
   const std::size_t total = kFrameHeaderBytes + header.payload_bytes;
-  while (buffer_.size() < total) {
-    const auto r = fill(deadline);
+  while (tail_ - head_ < total) {
+    const auto r = fill(total, deadline);
     if (r != RecvResult::kFrame) return r;
   }
+  const std::uint8_t* payload = buffer_.data() + head_ + kFrameHeaderBytes;
   frame->header = header;
-  frame->payload.assign(buffer_.begin() + kFrameHeaderBytes,
-                        buffer_.begin() + static_cast<std::ptrdiff_t>(total));
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+  frame->payload.assign(payload, payload + header.payload_bytes);
+  head_ += total;
+  if (head_ == tail_) head_ = tail_ = 0;  // drained: refill from the front
   if (!frame_checksum_ok(*frame)) {
     // The header was valid, so the frame boundary is trustworthy: the
     // damaged frame is already consumed from the buffer and the next
@@ -191,12 +222,29 @@ SendStats FdEndpoint::send_stats() const {
           stats_bytes_.load(std::memory_order_relaxed)};
 }
 
-Endpoint::RecvResult FdEndpoint::fill(Clock::time_point deadline) {
+Endpoint::RecvResult FdEndpoint::fill(std::size_t want,
+                                      Clock::time_point deadline) {
   if (closed_.load(std::memory_order_acquire)) return RecvResult::kClosed;
-  std::uint8_t chunk[64 << 10];
-  const ssize_t n = recv_some(fd_, chunk, sizeof(chunk));
+  if (buffer_.size() - head_ < want) {
+    // The frame would run past the buffer's end from where it starts:
+    // move its partial bytes to the front, into a larger buffer when
+    // the frame is larger than this one.
+    const std::size_t have = tail_ - head_;
+    if (buffer_.size() < want) {
+      std::vector<std::uint8_t> larger(want + kRecvChunkBytes);
+      if (have != 0)
+        std::memcpy(larger.data(), buffer_.data() + head_, have);
+      buffer_.swap(larger);
+    } else if (have != 0) {
+      std::memmove(buffer_.data(), buffer_.data() + head_, have);
+    }
+    head_ = 0;
+    tail_ = have;
+  }
+  const ssize_t n =
+      recv_some(fd_, buffer_.data() + tail_, buffer_.size() - tail_);
   if (n > 0) {
-    buffer_.insert(buffer_.end(), chunk, chunk + n);
+    tail_ += static_cast<std::size_t>(n);
     return RecvResult::kFrame;
   }
   if (n == 0) return RecvResult::kClosed;  // orderly peer shutdown

@@ -6,14 +6,18 @@
 // EINTR-safe syscall wrappers.
 //
 // FdEndpoint is exactly the wire contract of net::Endpoint over any
-// SOCK_STREAM descriptor: it writes encode_frame() bytes with
-// MSG_NOSIGNAL (a dead peer is EPIPE → kClosed, never SIGPIPE),
-// reassembles partial frames in a buffer, and verifies the payload
-// checksum per frame (kCorrupt drops one frame, the stream stays
-// framed). A send that times out part-way keeps the frame's unsent
-// tail and writes it ahead of the next frame, so a timeout never
-// tears the stream: the timed-out frame arrives late and whole, or
-// (if nothing is sent after it) not at all. The fd is owned: closed
+// SOCK_STREAM descriptor. It sends each frame as one gathered sendmsg
+// of a header encoded on the stack and the payload where it lies —
+// the bytes encode_frame() would produce, without that copy — with
+// MSG_NOSIGNAL (a dead peer is EPIPE → kClosed, never SIGPIPE). It
+// reassembles partial frames in a buffer read at an offset (a whole
+// frame is copied out once; only a partial frame that would not fit is
+// moved), and verifies the payload checksum per frame (kCorrupt drops
+// one frame, the stream stays framed). A send that times out part-way
+// keeps the frame's unsent tail, which may start inside the header,
+// and writes it ahead of the next frame, so a timeout never tears the
+// stream: the timed-out frame arrives late and whole, or (if nothing
+// is sent after it) not at all. The fd is owned: closed
 // in the destructor, shutdown() on close() so blocked poll()s on either
 // end return promptly.
 //
@@ -30,10 +34,13 @@
 // Both ends get TCP_NODELAY — frames are small and latency-bound.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,10 +59,11 @@ namespace dici::net {
 bool poll_fd_until(int fd, short events,
                    std::chrono::steady_clock::time_point deadline);
 
-/// ::send with MSG_NOSIGNAL | MSG_DONTWAIT, retrying EINTR. Returns the
-/// byte count (> 0), or -1 with errno set to the non-EINTR failure
+/// ::sendmsg of the `count` buffers in `iov`, in order, with
+/// MSG_NOSIGNAL | MSG_DONTWAIT, retrying EINTR. Returns the byte count
+/// (> 0, possibly short), or -1 with errno set to the non-EINTR failure
 /// (EAGAIN means "poll and retry", EPIPE/ECONNRESET mean peer gone).
-ssize_t send_some(int fd, const std::uint8_t* data, std::size_t len);
+ssize_t send_some(int fd, const struct iovec* iov, std::size_t count);
 
 /// ::recv with MSG_DONTWAIT, retrying EINTR. Returns bytes read (> 0),
 /// 0 on orderly peer shutdown, or -1 with errno set (EAGAIN = "poll and
@@ -85,15 +93,31 @@ class FdEndpoint final : public Endpoint {
   SendStats send_stats() const override;
 
  private:
-  RecvResult fill(std::chrono::steady_clock::time_point deadline);
-  /// Write data[*sent, size) by `deadline`, advancing *sent.
-  SendResult write_until(const std::uint8_t* data, std::size_t size,
+  /// The most buffers one gathered write sends: a timed-out frame's
+  /// tail, then a header and a payload.
+  static constexpr std::size_t kMaxSendParts = 3;
+  /// The receive buffer's size, and its read-ahead past a larger frame.
+  static constexpr std::size_t kRecvChunkBytes = 64 << 10;
+
+  /// Read what the socket has into the buffer, first making room for a
+  /// frame of `want` bytes starting at head_.
+  RecvResult fill(std::size_t want,
+                  std::chrono::steady_clock::time_point deadline);
+  /// Write the concatenation of `parts`, from byte *sent on, by
+  /// `deadline`, advancing *sent.
+  SendResult write_until(std::span<const std::span<const std::uint8_t>> parts,
                          std::chrono::steady_clock::time_point deadline,
                          std::size_t* sent);
 
   int fd_;
   std::atomic<bool> closed_{false};
-  std::vector<std::uint8_t> buffer_;  // partial-frame reassembly
+  /// Partial-frame reassembly: bytes [head_, tail_) are read and not
+  /// yet returned. A frame is copied out where it lies; the partial
+  /// one after it moves to the front only when it would not fit.
+  /// Receiver-thread-only.
+  std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
   /// The tail of a frame whose send timed out part-way; the next send
   /// writes it before its own frame. Sender-thread-only.
   std::vector<std::uint8_t> unsent_;

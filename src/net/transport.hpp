@@ -22,8 +22,9 @@
 //              rung below multi-host: same connector code would reach a
 //              remote address.
 //
-// All three move the SAME encode_frame() bytes through the same
-// bounds-checked decoders. Failure semantics are explicit results, never
+// All three move the same bytes per frame (a 32-byte header, then the
+// payload; see fd_endpoint.hpp) through the same bounds-checked
+// decoders. Failure semantics are explicit results, never
 // exceptions: a send to a full/dead peer times out or reports closed,
 // which the membership layer converts into a DEAD node and a failed
 // batch instead of a hang.

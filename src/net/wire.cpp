@@ -1,36 +1,90 @@
 #include "src/net/wire.hpp"
 
+#include <array>
+#include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 #include "src/util/assert.hpp"
 
 namespace dici::net {
 namespace {
 
-// Explicit little-endian primitives. memcpy of the integer would be
-// fine on every machine we run today, but the wire format is the one
-// place byte order is a contract, so spell it out once here.
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+// The wire is little-endian, and every codec below copies integers and
+// arrays with memcpy in host order. That is the wire order only on a
+// little-endian host; a big-endian port needs byte swaps here first.
+static_assert(std::endian::native == std::endian::little,
+              "wire codecs memcpy host-order integers; add byte swaps to "
+              "build on a big-endian host");
+
+void put_bytes(std::vector<std::uint8_t>& out, const void* data,
+               std::size_t len) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  out.insert(out.end(), bytes, bytes + len);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  put_bytes(out, &v, sizeof(v));
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  put_bytes(out, &v, sizeof(v));
 }
 
 void put_u32_array(std::vector<std::uint8_t>& out,
                    std::span<const std::uint32_t> values) {
   put_u32(out, static_cast<std::uint32_t>(values.size()));
-  for (std::uint32_t v : values) put_u32(out, v);
+  put_bytes(out, values.data(), values.size_bytes());
+}
+
+// Byte offsets of the header fields, in wire order.
+constexpr std::size_t kMagicAt = 0;
+constexpr std::size_t kVersionAt = 4;
+constexpr std::size_t kTypeAt = 6;
+constexpr std::size_t kSrcAt = 8;
+constexpr std::size_t kPayloadBytesAt = 12;
+constexpr std::size_t kSeqAt = 16;
+constexpr std::size_t kEpochAt = 24;
+constexpr std::size_t kChecksumAt = 28;
+static_assert(kChecksumAt + 4 == kFrameHeaderBytes);
+
+template <typename T>
+void store(std::uint8_t* out, std::size_t at, T v) {
+  std::memcpy(out + at, &v, sizeof(v));
+}
+
+template <typename T>
+T load(const std::uint8_t* in, std::size_t at) {
+  T v{};
+  std::memcpy(&v, in + at, sizeof(v));
+  return v;
+}
+
+// CRC32C, reflected, polynomial 0x1EDC6F41 (0x82F63B78 bit-reversed),
+// with the customary all-ones initial value and final inversion: the
+// checksum of iSCSI, ext4 and SSE4.2's crc32 instruction.
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
+
+constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPoly : 0u);
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+
+using ChecksumFn = std::uint32_t (*)(std::span<const std::uint8_t>);
+
+ChecksumFn pick_checksum() {
+  return crc32c_sse42_available() ? crc32c_sse42 : crc32c_portable;
 }
 
 /// Sequential bounds-checked reader over a frame payload. Every read_*
@@ -40,37 +94,9 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  bool read_u8(std::uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) return fail();
-    *v = bytes_[pos_++];
-    return true;
-  }
-
-  bool read_u16(std::uint16_t* v) {
-    if (pos_ + 2 > bytes_.size()) return fail();
-    *v = static_cast<std::uint16_t>(bytes_[pos_] |
-                                    (std::uint16_t{bytes_[pos_ + 1]} << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return fail();
-    std::uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= std::uint32_t{bytes_[pos_ + i]} << (8 * i);
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return fail();
-    std::uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= std::uint64_t{bytes_[pos_ + i]} << (8 * i);
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
+  bool read_u8(std::uint8_t* v) { return read_bytes(v, sizeof(*v)); }
+  bool read_u32(std::uint32_t* v) { return read_bytes(v, sizeof(*v)); }
+  bool read_u64(std::uint64_t* v) { return read_bytes(v, sizeof(*v)); }
 
   /// Length-prefixed u32 array. The count is checked against the bytes
   /// actually remaining BEFORE the vector is sized, so a garbage count
@@ -80,12 +106,7 @@ class Reader {
     if (!read_u32(&count)) return false;
     if (remaining() / 4 < count) return fail();
     out->resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t v = 0;
-      read_u32(&v);
-      (*out)[i] = v;
-    }
-    return true;
+    return read_bytes(out->data(), std::size_t{count} * 4);
   }
 
   bool exhausted() const { return ok_ && pos_ == bytes_.size(); }
@@ -93,6 +114,13 @@ class Reader {
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
+  bool read_bytes(void* out, std::size_t len) {
+    if (len > remaining()) return fail();
+    if (len != 0) std::memcpy(out, bytes_.data() + pos_, len);
+    pos_ += len;
+    return true;
+  }
+
   bool fail() {
     ok_ = false;
     return false;
@@ -181,30 +209,58 @@ const char* msg_type_name(MsgType type) {
   return "unknown";
 }
 
-std::uint32_t wire_checksum(std::span<const std::uint8_t> payload) {
-  // FNV-1a 32-bit: tiny, endian-free, and plenty to catch the flipped
-  // bytes a link (or the fault injector) produces.
-  std::uint32_t h = 0x811c9dc5u;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x01000193u;
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = ~0u;
+  for (const std::uint8_t b : bytes)
+    crc = kCrc32cTable[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  return ~crc;
+}
+
+#if defined(__x86_64__)
+
+bool crc32c_sse42_available() { return __builtin_cpu_supports("sse4.2"); }
+
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint64_t crc = ~0u;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
   }
-  return h;
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; ++p, --n) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+
+#else
+
+bool crc32c_sse42_available() { return false; }
+
+std::uint32_t crc32c_sse42(std::span<const std::uint8_t> bytes) {
+  DICI_CHECK_FMT(false, "crc32c_sse42 called on a host without SSE4.2 (%zu "
+                 "bytes)", bytes.size());
+  return 0;
+}
+
+#endif
+
+std::uint32_t wire_checksum(std::span<const std::uint8_t> payload) {
+  static const ChecksumFn checksum = pick_checksum();
+  return checksum(payload);
 }
 
 void encode_frame_header(const FrameHeader& header, std::uint8_t* out) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kFrameHeaderBytes);
-  put_u32(bytes, header.magic);
-  put_u16(bytes, header.version);
-  put_u16(bytes, header.type);
-  put_u32(bytes, header.src);
-  put_u32(bytes, header.payload_bytes);
-  put_u64(bytes, header.seq);
-  put_u32(bytes, header.epoch);
-  put_u32(bytes, header.checksum);
-  DICI_CHECK(bytes.size() == kFrameHeaderBytes);
-  std::memcpy(out, bytes.data(), kFrameHeaderBytes);
+  store(out, kMagicAt, header.magic);
+  store(out, kVersionAt, header.version);
+  store(out, kTypeAt, header.type);
+  store(out, kSrcAt, header.src);
+  store(out, kPayloadBytesAt, header.payload_bytes);
+  store(out, kSeqAt, header.seq);
+  store(out, kEpochAt, header.epoch);
+  store(out, kChecksumAt, header.checksum);
 }
 
 bool decode_frame_header(std::span<const std::uint8_t> bytes,
@@ -214,17 +270,16 @@ bool decode_frame_header(std::span<const std::uint8_t> bytes,
              " of " + std::to_string(kFrameHeaderBytes) + " bytes";
     return false;
   }
-  Reader reader(bytes.subspan(0, kFrameHeaderBytes));
+  const std::uint8_t* in = bytes.data();
   FrameHeader h;
-  reader.read_u32(&h.magic);
-  reader.read_u16(&h.version);
-  reader.read_u16(&h.type);
-  reader.read_u32(&h.src);
-  reader.read_u32(&h.payload_bytes);
-  reader.read_u64(&h.seq);
-  reader.read_u32(&h.epoch);
-  reader.read_u32(&h.checksum);
-  DICI_CHECK(reader.exhausted());
+  h.magic = load<std::uint32_t>(in, kMagicAt);
+  h.version = load<std::uint16_t>(in, kVersionAt);
+  h.type = load<std::uint16_t>(in, kTypeAt);
+  h.src = load<std::uint32_t>(in, kSrcAt);
+  h.payload_bytes = load<std::uint32_t>(in, kPayloadBytesAt);
+  h.seq = load<std::uint64_t>(in, kSeqAt);
+  h.epoch = load<std::uint32_t>(in, kEpochAt);
+  h.checksum = load<std::uint32_t>(in, kChecksumAt);
   if (h.magic != kWireMagic) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "wire: bad magic 0x%08x", h.magic);

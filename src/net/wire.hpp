@@ -1,9 +1,11 @@
 // The cluster wire format: versioned, length-prefixed, bounds-checked.
 //
 // Everything two cluster nodes say to each other travels as one Frame —
-// a fixed 32-byte header followed by `payload_bytes` of message payload,
-// byte-serialized explicitly (little-endian, no struct memcpy) so the
-// format is stable across compilers and, later, across machines. This
+// a fixed 32-byte header followed by `payload_bytes` of message payload.
+// Every field and array is little-endian and written one field at a
+// time (never a struct memcpy, so padding and layout never reach the
+// wire); arrays are copied in bulk, and the codecs refuse to build on
+// a big-endian host rather than byte-swap. This
 // is the point where net/link.hpp's LinkModel stops being a model:
 // every byte counted here actually crosses a transport
 // (net/transport.hpp), whether that transport is a UNIX-domain socket
@@ -16,8 +18,8 @@
 // (net_wire_test pins each rejection). Encoders are in-process and
 // DICI_CHECK their own invariants instead.
 //
-// v2 (the fault-tolerance PR) adds two header fields:
-//   checksum — FNV-1a over the payload, sealed by make_frame at encode
+// v2 added two header fields:
+//   checksum — a seal over the payload, computed by make_frame at encode
 //              time and verified by every transport recv. A frame whose
 //              bytes were damaged in flight keeps a VALID header (the
 //              stream stays framed) but fails the checksum, so the
@@ -30,6 +32,11 @@
 //              into everything it sends; a node echoes the newest epoch
 //              it has seen, so a reply from a pre-death incarnation can
 //              never be mistaken for current traffic.
+//
+// v3 keeps v2's layout and changes only the checksum, from byte-serial
+// FNV-1a to CRC32C (wire_checksum). The version is bumped so a v2 peer
+// is refused by its header with a version diagnostic, not frame by
+// frame as a stream of checksum failures.
 //
 // Message vocabulary (the pocv2/Pilevisor cluster-port pattern):
 //   control  — kJoinRequest/kJoinAck (the join handshake),
@@ -58,7 +65,7 @@
 namespace dici::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x44494349;  // "DICI"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 
 /// Hard cap a decoder accepts for one frame's payload. Large enough for
 /// any build chunk or dispatch batch this system sends (encoders chunk
@@ -110,11 +117,20 @@ struct FrameHeader {
 
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 
-/// FNV-1a over a payload — the integrity seal carried in
+/// CRC32C (Castagnoli) over a payload — the integrity seal carried in
 /// FrameHeader::checksum. Not cryptographic: the threat model is flipped
 /// bits on a link (or the fault injector imitating them), not an
-/// adversary forging frames.
+/// adversary forging frames. Runs crc32c_sse42 where the CPU has it
+/// (decided once, on first use) and crc32c_portable elsewhere; both
+/// give the same value for every input.
 std::uint32_t wire_checksum(std::span<const std::uint8_t> payload);
+
+/// The two CRC32C paths behind wire_checksum, callable directly so a
+/// test can hold each to the known answers. crc32c_sse42 may be called
+/// only when crc32c_sse42_available().
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes);
+std::uint32_t crc32c_sse42(std::span<const std::uint8_t> bytes);
+bool crc32c_sse42_available();
 
 /// One decoded (or to-be-encoded) message: header + raw payload bytes.
 struct Frame {
@@ -133,8 +149,9 @@ void encode_frame_header(const FrameHeader& header, std::uint8_t* out);
 bool decode_frame_header(std::span<const std::uint8_t> bytes,
                          FrameHeader* header, std::string* error);
 
-/// Serialize header + payload into one contiguous buffer: the bytes
-/// every transport writes.
+/// Serialize header + payload into one contiguous buffer: the bytes a
+/// transport puts on the wire for this frame (FdEndpoint sends the same
+/// bytes from the header and the payload in place, without this copy).
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Total decode of a whole buffered frame (header checks above, plus

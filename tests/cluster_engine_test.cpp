@@ -583,7 +583,9 @@ TEST(ClusterProcess, SigkilledChildFailoverCompletesEveryInFlightBatch) {
       // Freeze the child before batch 3 so it provably dies holding that
       // batch's chunks unanswered (a child that keeps up could answer
       // everything in the microseconds before the kill lands)...
-      if (i == 3) ASSERT_EQ(::kill(pids[1], SIGSTOP), 0);
+      if (i == 3) {
+        ASSERT_EQ(::kill(pids[1], SIGSTOP), 0);
+      }
       tickets[i] = client->submit(fx.queries, &ranks[i]);
       if (i == 3) cluster_kill_node_for_test(*index, 1);  // ...real SIGKILL
     }

@@ -120,7 +120,9 @@ TEST_P(PlacementCombos, SkewedStreamStaysRankExact) {
   EXPECT_EQ(processed, queries.size());
   // Stealing off is a hard guarantee of zero steals; on, it is
   // opportunistic (scheduling-dependent), so only the off side asserts.
-  if (!stealing) EXPECT_EQ(report.stolen_messages, 0u);
+  if (!stealing) {
+    EXPECT_EQ(report.stolen_messages, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,14 +2,21 @@
 // fixed-iteration gtest (no libFuzzer), so every run — the ASan job's
 // included — replays exactly the same inputs.
 //
-// Seeds are valid encodes of all ten MsgTypes. Each input stacks 1-4
-// seeded mutations on one of them: bit flips, byte overwrites,
-// truncation, extension, and inflated length/count fields. The oracle:
+// Seeds are valid wire-v3 encodes of all ten MsgTypes. Each input
+// stacks 1-4 seeded mutations on one of them: bit flips, byte
+// overwrites, truncation, extension, and inflated length/count fields;
+// a second pass also rewrites the header's version field (to v2, the
+// previous wire, to the next version, or to a random value). The
+// oracle:
 //
 //  * decode_frame_header, decode_frame and every decode_* either return
 //    false with a non-empty diagnostic, or hand back a message that
 //    re-encodes to exactly the payload it was decoded from (a decoder
 //    that accepts a non-canonical encoding fails here);
+//  * a header with the right magic and any other version is refused
+//    with the version diagnostic, naming the version it carries;
+//  * wire_checksum agrees with the portable CRC32C on every payload
+//    that frames;
 //  * FdEndpoint over a socketpair, fed the same bytes and then EOF,
 //    returns what the bytes dictate frame by frame — kFrame or kCorrupt
 //    for a whole frame (by its checksum), kError for a header that fails
@@ -21,6 +28,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -93,8 +101,27 @@ std::uint32_t inflate(std::uint32_t current, Rng& rng) {
   }
 }
 
-/// Byte offset of FrameHeader::payload_bytes in an encoded frame.
+/// Byte offsets of FrameHeader::version and ::payload_bytes in an
+/// encoded frame.
+constexpr std::size_t kVersionFieldOffset = 4;
 constexpr std::size_t kLengthFieldOffset = 12;
+
+std::uint16_t get_u16(const Bytes& bytes, std::size_t at) {
+  return static_cast<std::uint16_t>(bytes[at] | (bytes[at + 1] << 8));
+}
+
+/// A version other than ours: the previous wire, the next one, or any.
+std::uint16_t foreign_version(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0: return kWireVersion - 1;
+    case 1: return kWireVersion + 1;
+    case 2: return 0;
+    default: {
+      const auto v = static_cast<std::uint16_t>(rng.below(1u << 16));
+      return v == kWireVersion ? 0xffff : v;
+    }
+  }
+}
 
 void mutate(Bytes& bytes, Rng& rng) {
   switch (rng.below(6)) {
@@ -155,10 +182,23 @@ std::string check_decoders(std::span<const std::uint8_t> bytes) {
   std::string error;
   if (!decode_frame_header(bytes, &header, &error) && error.empty())
     return "decode_frame_header rejected without a diagnostic";
+  if (bytes.size() >= kFrameHeaderBytes) {
+    std::uint32_t magic = 0;
+    std::uint16_t version = 0;
+    std::memcpy(&magic, bytes.data(), sizeof(magic));
+    std::memcpy(&version, bytes.data() + kVersionFieldOffset, sizeof(version));
+    if (magic == kWireMagic && version != kWireVersion &&
+        error.find("version mismatch: peer speaks v" +
+                   std::to_string(version) + ",") == std::string::npos)
+      return "a v" + std::to_string(version) +
+             " header was not refused by version: '" + error + "'";
+  }
   Frame frame;
   error.clear();
   if (!decode_frame(bytes, &frame, &error))
     return error.empty() ? "decode_frame rejected without a diagnostic" : "";
+  if (wire_checksum(frame.payload) != crc32c_portable(frame.payload))
+    return "wire_checksum disagrees with the portable CRC32C";
   // Every decoder sees every framed input: the matching one must be
   // canonical, the others must refuse the type.
   for (const std::string& failure : {
@@ -218,6 +258,33 @@ TEST(WireFuzz, DecodersAreTotalAndCanonical) {
                              << " input " << i << ": " << hex(bytes);
     }
   }
+}
+
+TEST(WireFuzz, ForeignVersionsAreRefusedByVersion) {
+  // The version field rewritten, then 0-3 of the mutations above on
+  // top: whatever else is wrong, a frame with our magic and another
+  // version must be refused by its version (check_decoders' oracle).
+  constexpr int kInputsPerSeed = 2000;
+  Rng rng(kFuzzSeed + 2);
+  int refused = 0;
+  for (const Frame& seed : seed_frames()) {
+    for (int i = 0; i < kInputsPerSeed; ++i) {
+      Bytes bytes = encode_frame(seed);
+      const std::uint16_t version = foreign_version(rng);
+      bytes[kVersionFieldOffset] = static_cast<std::uint8_t>(version);
+      bytes[kVersionFieldOffset + 1] = static_cast<std::uint8_t>(version >> 8);
+      for (std::uint64_t n = rng.below(4); n > 0; --n) mutate(bytes, rng);
+      const std::string failure = check_decoders(bytes);
+      ASSERT_EQ(failure, "") << msg_type_name(seed.header.msg_type())
+                             << " input " << i << ": " << hex(bytes);
+      if (bytes.size() >= kFrameHeaderBytes &&
+          get_u16(bytes, kVersionFieldOffset) != kWireVersion)
+        ++refused;
+    }
+  }
+  // Most inputs keep their foreign version (a later mutation can put
+  // ours back, or cut the header short): the oracle saw real work.
+  EXPECT_GT(refused, 10 * kInputsPerSeed / 2);
 }
 
 /// What FdEndpoint::recv must return for the stream `rest` followed by

@@ -1,22 +1,34 @@
 // Wire format totality: every message round-trips bit-exactly, and
 // every malformed input — truncated, oversized, garbage magic, future
 // version, length-field lies — is REJECTED with a diagnostic, never an
-// out-of-bounds read, huge allocation, or abort. Plus the transport
-// seam: socket, fork, and tcp endpoints carry identical encode_frame
-// bytes, survive a two-thread race under TSan, time out under
-// backpressure, and convert close() into explicit results instead of
-// hangs.
+// out-of-bounds read, huge allocation, or abort. The CRC32C seal gives
+// its known answers on both of its paths. Plus the transport seam:
+// socket, fork, and tcp endpoints carry identical encode_frame bytes,
+// reassemble frames however the bytes are split across reads, survive
+// a two-thread race under TSan, time out under backpressure without
+// tearing a frame (even when the cut falls inside a header), and
+// convert close() into explicit results instead of hangs.
 #include "src/net/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/net/fd_endpoint.hpp"
 #include "src/net/transport.hpp"
+#include "src/util/rng.hpp"
 
 namespace dici::net {
 namespace {
@@ -240,7 +252,24 @@ TEST(Wire, RejectsVersionMismatchNamingBothVersions) {
   EXPECT_FALSE(decode_frame(bytes, &out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
   EXPECT_NE(error.find("127"), std::string::npos) << error;  // theirs
-  EXPECT_NE(error.find("2"), std::string::npos) << error;    // ours
+  EXPECT_NE(error.find("we speak v" + std::to_string(kWireVersion)),
+            std::string::npos)
+      << error;  // ours
+}
+
+TEST(Wire, RejectsV2Header) {
+  // A v2 peer seals with FNV-1a. Its header must be refused by version,
+  // before any payload is read, rather than pass framing and fail as a
+  // checksum mismatch on every frame.
+  Frame f = encode_heartbeat(0, {});
+  f.header.version = 2;
+  const std::vector<std::uint8_t> bytes = encode_frame(f);
+  Frame out;
+  std::string error;
+  EXPECT_FALSE(decode_frame(bytes, &out, &error));
+  EXPECT_NE(error.find("version mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("v2"), std::string::npos) << error;
+  EXPECT_NE(error.find("v3"), std::string::npos) << error;
 }
 
 TEST(Wire, RejectsUnknownMessageType) {
@@ -274,7 +303,7 @@ TEST(Wire, RejectsTruncatedPayload) {
   msg.keys = {1, 2, 3, 4};
   msg.ids = {0, 1, 2, 3};
   Frame f = encode_query_batch(0, msg);
-  f.payload.resize(f.payload.size() - 3);  // truncate mid-array
+  f.payload.erase(f.payload.end() - 3, f.payload.end());  // mid-array
   f.header.payload_bytes = static_cast<std::uint32_t>(f.payload.size());
   QueryBatchMsg out;
   std::string error;
@@ -315,7 +344,10 @@ TEST(Wire, RejectsTrailingBytes) {
 TEST(Wire, RejectsNonCanonicalBuildShardLastFlag) {
   // Found by net_wire_fuzz_test: a last-flag byte of 0x11 decoded as
   // true and re-encoded as 0x01, so one message had many spellings.
-  Frame f = encode_build_shard(kCoordinatorId, {.shard = 1, .last = true});
+  BuildShardMsg msg;
+  msg.shard = 1;
+  msg.last = true;
+  Frame f = encode_build_shard(kCoordinatorId, msg);
   f.payload[12] = 0x11;  // shard, global_offset, chunk, then the flag
   BuildShardMsg out;
   std::string error;
@@ -340,7 +372,7 @@ TEST(Wire, RejectsHeaderPayloadLengthDisagreement) {
   EXPECT_FALSE(error.empty());
 }
 
-// --- Checksums and epochs (wire v2) ---------------------------------------
+// --- Checksums (CRC32C, wire v3) and epochs (wire v2) ---------------------
 
 TEST(Wire, EncodersSealAVerifiableChecksum) {
   QueryBatchMsg msg;
@@ -359,6 +391,47 @@ TEST(Wire, EncodersSealAVerifiableChecksum) {
   // One flipped payload bit is caught.
   f.payload[f.payload.size() / 2] ^= 0x01;
   EXPECT_FALSE(frame_checksum_ok(f));
+}
+
+std::span<const std::uint8_t> as_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+TEST(Wire, Crc32cKnownAnswer) {
+  // The CRC32C check value (RFC 3720, B.4) and two of its test vectors.
+  EXPECT_EQ(crc32c_portable(as_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c_portable({}), 0u);
+  const std::vector<std::uint8_t> zeros(32, 0x00);
+  const std::vector<std::uint8_t> ones(32, 0xff);
+  EXPECT_EQ(crc32c_portable(zeros), 0x8A9136AAu);
+  EXPECT_EQ(crc32c_portable(ones), 0x62A8AB43u);
+  EXPECT_EQ(wire_checksum(as_bytes("123456789")), 0xE3069283u);
+  if (!crc32c_sse42_available()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  EXPECT_EQ(crc32c_sse42(as_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c_sse42({}), 0u);
+  EXPECT_EQ(crc32c_sse42(zeros), 0x8A9136AAu);
+  EXPECT_EQ(crc32c_sse42(ones), 0x62A8AB43u);
+}
+
+TEST(Wire, Crc32cPathsAgree) {
+  // Every length up to 64 (each tail length of the 8-byte steps), plus
+  // a dispatch-sized and a build-sized buffer, at every start offset
+  // within a word, so no alignment is assumed.
+  if (!crc32c_sse42_available()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  Rng rng(3);
+  std::vector<std::uint8_t> buffer((4u << 20) + 8);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(64u << 10);
+  lengths.push_back(4u << 20);
+  for (const std::size_t n : lengths) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + start, n);
+      ASSERT_EQ(crc32c_sse42(bytes), crc32c_portable(bytes))
+          << "length " << n << " start " << start;
+    }
+  }
 }
 
 TEST(Wire, EmptyPayloadChecksumHolds) {
@@ -502,6 +575,206 @@ TEST(Transport, BackpressureTimesOutWhenReceiverStalls) {
   }
 }
 
+// --- FdEndpoint against a raw peer ---------------------------------------
+// Frame bytes written straight to a socket, split wherever a test wants,
+// so reassembly and the sender's timed-out tails are exercised at exact
+// byte positions rather than wherever the kernel happens to cut.
+
+constexpr TransportKind kSocketKinds[] = {TransportKind::kSocket,
+                                          TransportKind::kTcp};
+
+/// An FdEndpoint whose peer is a bare socket the test drives itself.
+/// TCP gets fixed buffer sizes (no autotuning), so a stalled link takes
+/// about the same number of bytes on every round.
+struct RawLink {
+  std::unique_ptr<FdEndpoint> endpoint;
+  int endpoint_fd = -1;  ///< owned by `endpoint`
+  int raw = -1;          ///< owned here
+
+  RawLink() = default;
+  RawLink(const RawLink&) = delete;
+  RawLink& operator=(const RawLink&) = delete;
+  ~RawLink() {
+    endpoint.reset();
+    if (raw >= 0) ::close(raw);
+  }
+};
+
+void set_int_option(int fd, int level, int name, int value) {
+  ASSERT_EQ(::setsockopt(fd, level, name, &value, sizeof(value)), 0)
+      << std::strerror(errno);
+}
+
+void open_raw_link(TransportKind kind, RawLink* link) {
+  if (kind != TransportKind::kTcp) {
+    int fds[2];
+    cloexec_socketpair(fds);
+    link->endpoint_fd = fds[0];
+    link->endpoint = std::make_unique<FdEndpoint>(fds[0]);
+    link->raw = fds[1];
+    return;
+  }
+  constexpr int kBufferBytes = 128 << 10;
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  set_int_option(listener, SOL_SOCKET, SO_RCVBUF, kBufferBytes);
+  set_int_option(listener, SOL_SOCKET, SO_SNDBUF, kBufferBytes);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  link->raw = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(link->raw, 0);
+  set_int_option(link->raw, SOL_SOCKET, SO_RCVBUF, kBufferBytes);
+  set_int_option(link->raw, SOL_SOCKET, SO_SNDBUF, kBufferBytes);
+  set_int_option(link->raw, IPPROTO_TCP, TCP_NODELAY, 1);
+  ASSERT_EQ(::connect(link->raw, reinterpret_cast<sockaddr*>(&addr), len), 0)
+      << std::strerror(errno);
+  const int accepted = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+  ::close(listener);
+  ASSERT_GE(accepted, 0);
+  set_int_option(accepted, IPPROTO_TCP, TCP_NODELAY, 1);
+  link->endpoint_fd = accepted;
+  link->endpoint = std::make_unique<FdEndpoint>(accepted);
+}
+
+void write_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+}
+
+/// Everything the raw peer can read until the link has been quiet for
+/// 50 ms, appended to *into; the byte count read.
+std::size_t drain_raw(int fd, std::vector<std::uint8_t>* into) {
+  std::vector<std::uint8_t> chunk(64 << 10);
+  std::size_t total = 0;
+  for (;;) {
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) return total;
+    const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), MSG_DONTWAIT);
+    if (n <= 0) return total;
+    if (into != nullptr)
+      into->insert(into->end(), chunk.begin(), chunk.begin() + n);
+    total += static_cast<std::size_t>(n);
+  }
+}
+
+void expect_test_frame(const Frame& got, std::uint64_t i, TransportKind kind) {
+  QueryBatchMsg m;
+  std::string error;
+  ASSERT_TRUE(decode_query_batch(got, &m, &error))
+      << transport_name(kind) << ": " << error;
+  EXPECT_EQ(m.submission, i) << transport_name(kind);
+  EXPECT_EQ(m.keys.size(), 16u) << transport_name(kind);
+  EXPECT_EQ(m.keys.front(), static_cast<key_t>(i * 16)) << transport_name(kind);
+}
+
+TEST(FdEndpoint, SeveralFramesAndAPartialInOneRead) {
+  for (const TransportKind kind : kSocketKinds) {
+    RawLink link;
+    ASSERT_NO_FATAL_FAILURE(open_raw_link(kind, &link));
+    std::vector<std::uint8_t> bytes;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      const std::vector<std::uint8_t> frame = encode_frame(test_frame(i));
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    // Three whole frames and the first 50 bytes of the fourth, header
+    // included, in one write; the rest of the fourth later.
+    const std::size_t frame_bytes = bytes.size() / 4;
+    const std::size_t first = 3 * frame_bytes + 50;
+    ASSERT_NO_FATAL_FAILURE(write_all(link.raw, bytes.data(), first));
+    Frame got;
+    std::string error;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(link.endpoint->recv(&got, 1s, &error),
+                Endpoint::RecvResult::kFrame)
+          << transport_name(kind) << ": " << error;
+      expect_test_frame(got, i, kind);
+    }
+    EXPECT_EQ(link.endpoint->recv(&got, 20ms, &error),
+              Endpoint::RecvResult::kTimeout)
+        << transport_name(kind);
+    ASSERT_NO_FATAL_FAILURE(
+        write_all(link.raw, bytes.data() + first, bytes.size() - first));
+    ASSERT_EQ(link.endpoint->recv(&got, 1s, &error),
+              Endpoint::RecvResult::kFrame)
+        << transport_name(kind) << ": " << error;
+    expect_test_frame(got, 3, kind);
+  }
+}
+
+TEST(FdEndpoint, FrameArrivingAByteAtATime) {
+  for (const TransportKind kind : kSocketKinds) {
+    RawLink link;
+    ASSERT_NO_FATAL_FAILURE(open_raw_link(kind, &link));
+    const std::vector<std::uint8_t> bytes = encode_frame(test_frame(5));
+    std::thread writer([&] {
+      for (const std::uint8_t b : bytes) {
+        ASSERT_EQ(::send(link.raw, &b, 1, MSG_NOSIGNAL), 1);
+        std::this_thread::sleep_for(50us);
+      }
+    });
+    Frame got;
+    std::string error;
+    const auto result = link.endpoint->recv(&got, 5s, &error);
+    writer.join();
+    ASSERT_EQ(result, Endpoint::RecvResult::kFrame)
+        << transport_name(kind) << ": " << error;
+    expect_test_frame(got, 5, kind);
+    EXPECT_EQ(link.endpoint->recv(&got, 10ms, &error),
+              Endpoint::RecvResult::kTimeout)
+        << transport_name(kind);
+  }
+}
+
+TEST(FdEndpoint, CarriesABuildSizedFrame) {
+  // A 4 MiB build chunk outgrows the receive buffer; the small frames
+  // around it must still arrive in order and intact.
+  BuildShardMsg build;
+  build.shard = 2;
+  build.chunk = 1;
+  build.keys.resize((4u << 20) / sizeof(key_t));
+  for (std::size_t i = 0; i < build.keys.size(); ++i)
+    build.keys[i] = static_cast<key_t>(i * 2654435761u);
+  const Frame big = encode_build_shard(kCoordinatorId, build);
+  for (const TransportKind kind : kSocketKinds) {
+    auto [coordinator, node] = make_transport_pair(kind);
+    std::thread sender([&, &coordinator = coordinator] {
+      EXPECT_EQ(coordinator->send(test_frame(0), 5s),
+                Endpoint::SendResult::kOk);
+      EXPECT_EQ(coordinator->send(big, 5s), Endpoint::SendResult::kOk);
+      EXPECT_EQ(coordinator->send(big, 5s), Endpoint::SendResult::kOk);
+      EXPECT_EQ(coordinator->send(test_frame(1), 5s),
+                Endpoint::SendResult::kOk);
+    });
+    Frame got;
+    std::string error;
+    ASSERT_EQ(node->recv(&got, 5s, &error), Endpoint::RecvResult::kFrame)
+        << transport_name(kind) << ": " << error;
+    expect_test_frame(got, 0, kind);
+    for (int copy = 0; copy < 2; ++copy) {
+      ASSERT_EQ(node->recv(&got, 5s, &error), Endpoint::RecvResult::kFrame)
+          << transport_name(kind) << ": " << error;
+      BuildShardMsg m;
+      ASSERT_TRUE(decode_build_shard(got, &m, &error)) << error;
+      EXPECT_EQ(m.shard, 2u);
+      EXPECT_EQ(m.keys, build.keys) << transport_name(kind);
+    }
+    ASSERT_EQ(node->recv(&got, 5s, &error), Endpoint::RecvResult::kFrame)
+        << transport_name(kind) << ": " << error;
+    expect_test_frame(got, 1, kind);
+    sender.join();
+  }
+}
+
 TEST(Transport, TimedOutSendNeverTearsAFrame) {
   // A send that times out with its frame half written must not leave
   // the half on the wire: the next frame would be read as the rest of
@@ -546,7 +819,87 @@ TEST(Transport, TimedOutSendNeverTearsAFrame) {
     EXPECT_TRUE(intact) << transport_name(kind) << ": " << error;
     EXPECT_EQ(last, 7u) << transport_name(kind);
   }
+
+  // The cut can also fall inside a header: the link takes the rest of a
+  // timed-out frame's tail and then only the first bytes of the next
+  // frame's 32-byte header. Steer a stalled link to that point: size a
+  // filler frame so the tail it leaves is ~16 bytes short of what the
+  // link takes in one round, then send a small frame into it. The send
+  // after that must complete the stream, and every frame on it must
+  // arrive whole.
+  for (const TransportKind kind : kSocketKinds) {
+    RawLink link;
+    ASSERT_NO_FATAL_FAILURE(open_raw_link(kind, &link));
+    // What a drained link takes from one send before it stalls.
+    const std::vector<std::uint8_t> junk(8u << 20, 0);
+    const ssize_t probe = ::send(link.endpoint_fd, junk.data(), junk.size(),
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+    ASSERT_GT(probe, 0) << std::strerror(errno);
+    ASSERT_EQ(drain_raw(link.raw, nullptr), static_cast<std::size_t>(probe));
+    std::size_t take = static_cast<std::size_t>(probe);
+
+    std::vector<std::uint8_t> stream;  // every byte the peer received
+    std::size_t end = 0;  // stream offset where the next frame starts
+    std::uint64_t frames = 0;
+    // Send one frame with a short timeout, then drain the link. Returns
+    // the offset the frame starts at, and keeps `end` right when the
+    // endpoint drops a frame none of which went out.
+    const auto send_and_drain = [&](const Frame& frame) {
+      const std::size_t start = end;
+      end += kFrameHeaderBytes + frame.payload.size();
+      const auto result = link.endpoint->send(frame, 20ms);
+      const std::size_t drained = drain_raw(link.raw, &stream);
+      if (result == Endpoint::SendResult::kTimeout) take = drained;
+      if (result != Endpoint::SendResult::kOk && stream.size() <= start)
+        end = start;
+      else
+        ++frames;
+      return start;
+    };
+    bool cut_in_header = false;
+    for (std::uint32_t round = 0; round < 16 && !cut_in_header; ++round) {
+      const std::size_t owed = end - stream.size();
+      const std::size_t want = 2 * take - 16 > owed ? 2 * take - 16 - owed : 0;
+      BuildShardMsg filler;
+      filler.chunk = round;
+      filler.keys.resize(want > 49 ? (want - 49) / 4 : 0, round);
+      send_and_drain(encode_build_shard(kCoordinatorId, filler));
+      const std::size_t start = send_and_drain(test_frame(round));
+      const std::size_t arrived =
+          stream.size() > start ? stream.size() - start : 0;
+      cut_in_header = arrived > 0 && arrived < kFrameHeaderBytes;
+    }
+    ASSERT_TRUE(cut_in_header)
+        << transport_name(kind) << ": no send was cut inside a header";
+    ASSERT_EQ(link.endpoint->send(test_frame(99), 2s),
+              Endpoint::SendResult::kOk)
+        << transport_name(kind);
+    ++frames;
+    drain_raw(link.raw, &stream);
+
+    std::size_t pos = 0;
+    std::uint64_t whole = 0;
+    Frame got;
+    std::string error;
+    while (pos < stream.size()) {
+      FrameHeader header;
+      ASSERT_TRUE(decode_frame_header(
+          std::span(stream).subspan(pos), &header, &error))
+          << transport_name(kind) << " at byte " << pos << ": " << error;
+      const std::size_t total = kFrameHeaderBytes + header.payload_bytes;
+      ASSERT_LE(pos + total, stream.size()) << transport_name(kind);
+      ASSERT_TRUE(decode_frame(std::span(stream).subspan(pos, total), &got,
+                               &error))
+          << error;
+      EXPECT_TRUE(frame_checksum_ok(got)) << transport_name(kind);
+      pos += total;
+      ++whole;
+    }
+    EXPECT_EQ(whole, frames) << transport_name(kind);
+    expect_test_frame(got, 99, kind);
+  }
 }
+
 
 TEST(Transport, RacedBidirectionalTrafficStaysOrderedAndIntact) {
   // The TSan case: four threads (one sender + one receiver per side)
