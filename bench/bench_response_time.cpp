@@ -49,6 +49,7 @@ struct LoadPoint {
   double engine_p50_us = 0, engine_p99_us = 0, engine_p999_us = 0;
   std::uint64_t batches = 0;
   std::uint64_t deadline_flushes = 0;
+  std::uint64_t idle_flushes = 0;
 };
 
 struct BackendCurve {
@@ -188,6 +189,7 @@ int main(int argc, char** argv) {
       p.engine_p999_us = run.engine_total.latency_ns.percentile(99.9) / 1e3;
       p.batches = run.batches;
       p.deadline_flushes = run.deadline_flushes;
+      p.idle_flushes = run.idle_flushes;
       curve.points.push_back(p);
     }
 
@@ -214,14 +216,15 @@ int main(int argc, char** argv) {
     std::printf("backend %s — closed-loop peak %.2f Mqps\n",
                 curve.backend.c_str(), curve.peak_qps / 1e6);
     TextTable t({"offered Mqps", "achieved Mqps", "p50 us", "p99 us",
-                 "p999 us", "engine p99 us", "batches", "deadline"});
+                 "p999 us", "engine p99 us", "batches", "deadline", "idle"});
     for (const auto& p : curve.points)
       t.add_row({format_double(p.offered_qps / 1e6, 2),
                  format_double(p.achieved_qps / 1e6, 2),
                  format_double(p.p50_us, 1), format_double(p.p99_us, 1),
                  format_double(p.p999_us, 1),
                  format_double(p.engine_p99_us, 1), std::to_string(p.batches),
-                 std::to_string(p.deadline_flushes)});
+                 std::to_string(p.deadline_flushes),
+                 std::to_string(p.idle_flushes)});
     t.print();
     std::printf("  knee: %.2f Mqps (p99 %.1f us, <= %.1fx best)   "
                 "max load under %.0f us SLO: %.2f Mqps\n\n",
@@ -229,12 +232,15 @@ int main(int argc, char** argv) {
                 slo_us, curve.max_load_under_slo_qps / 1e6);
   }
   std::printf(
-      "  Reading: below the knee, p99 is set by the batcher deadline and\n"
-      "  service time — flat as load rises. Past it, arrivals outpace the\n"
-      "  engine and queueing delay compounds (open loop: the schedule does\n"
-      "  not slow down for a slow server), so p99 goes vertical. The knee\n"
-      "  load and the SLO load are the serving-capacity numbers the\n"
-      "  closed-loop Mqps tables cannot show.\n");
+      "  Reading: at light load most rounds flush while no round is in\n"
+      "  flight (the idle column), so a query waits for little more than\n"
+      "  one round's service time and p99 stays low. As load rises,\n"
+      "  arrivals pile up behind the round in flight, rounds grow, and\n"
+      "  the size and deadline triggers take over. Past the knee, arrivals\n"
+      "  outpace the engine and queueing delay compounds (open loop: the\n"
+      "  schedule does not slow down for a slow server), so p99 goes\n"
+      "  vertical. The knee load and the SLO load are the serving-capacity\n"
+      "  numbers the closed-loop Mqps tables cannot show.\n");
 
   // Machine-readable artifact + smoke gate.
   const std::string json_path = cli.get_string("json");
@@ -264,11 +270,12 @@ int main(int argc, char** argv) {
             "\"p50_us\": %.9g, \"p99_us\": %.9g, \"p999_us\": %.9g, "
             "\"engine_p50_us\": %.9g, \"engine_p99_us\": %.9g, "
             "\"engine_p999_us\": %.9g, \"batches\": %llu, "
-            "\"deadline_flushes\": %llu}%s\n",
+            "\"deadline_flushes\": %llu, \"idle_flushes\": %llu}%s\n",
             p.offered_qps, p.achieved_qps, p.p50_us, p.p99_us, p.p999_us,
             p.engine_p50_us, p.engine_p99_us, p.engine_p999_us,
             static_cast<unsigned long long>(p.batches),
             static_cast<unsigned long long>(p.deadline_flushes),
+            static_cast<unsigned long long>(p.idle_flushes),
             i + 1 < curve.points.size() ? "," : "");
         json += buf;
       }

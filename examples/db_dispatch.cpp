@@ -11,9 +11,9 @@
 //
 // The batch-fill latency below is ANALYTICAL (keys-per-batch divided by
 // the arrival rate). examples/open_loop_serving.cpp is this trade-off
-// measured for real: open-loop arrivals, the AdaptiveBatcher's
-// size-or-deadline rounds, and wall-clock percentiles from each query's
-// arrival instant.
+// measured for real: open-loop arrivals, the AdaptiveBatcher's rounds
+// (full, at the deadline, or at once while the fleet is idle), and
+// wall-clock percentiles from each query's arrival instant.
 //
 //   $ ./example_db_dispatch
 #include <cstdio>

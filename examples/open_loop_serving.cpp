@@ -2,10 +2,12 @@
 //
 // examples/db_dispatch.cpp computes batch-fill latency analytically; this
 // example measures it. Queries arrive on their own clock (Poisson or
-// bursty at --qps), an AdaptiveBatcher forms dispatch rounds by
-// size-or-deadline, and the parallel engine answers while the percentile
-// meter runs from each query's ARRIVAL instant — so batching wait,
-// queueing wait, and service time all land in p50/p99/p999.
+// bursty at --qps), an AdaptiveBatcher forms dispatch rounds (full, at
+// the deadline, or at once while no round is in flight), and the
+// parallel engine answers while the percentile meter runs from each
+// query's ARRIVAL instant — so batching wait, queueing wait, and service
+// time all land in p50/p99/p999. Every answer is checked against
+// workload::reference_ranks; the example exits 1 on any mismatch.
 //
 //   $ ./open_loop_serving
 //   $ ./open_loop_serving --process bursty --qps 2000000
@@ -58,9 +60,11 @@ int main(int argc, char** argv) {
   serving.batch_max_keys = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("batchkeys")));
   serving.batch_max_delay_ns = cli.get_double("maxdelayus") * 1e3;
+  serving.collect_ranks = true;
 
   std::printf("index: %zu row keys; %zu queries arriving %s at %.2f Mqps\n"
-              "batcher: flush at %zu keys or %.0f us, whichever first\n\n",
+              "batcher: flush at once while idle; while busy at %zu keys\n"
+              "         or %.0f us, whichever first\n\n",
               rows.size(), queries.size(),
               workload::arrival_process_name(process),
               serving.arrivals.offered_qps / 1e6, serving.batch_max_keys,
@@ -74,6 +78,7 @@ int main(int argc, char** argv) {
   t.add_row({"batches", std::to_string(result.batches)});
   t.add_row({"  flushed full", std::to_string(result.size_flushes)});
   t.add_row({"  flushed by deadline", std::to_string(result.deadline_flushes)});
+  t.add_row({"  flushed while idle", std::to_string(result.idle_flushes)});
   t.add_row({"p50 us", format_double(lat.percentile(50) / 1e3, 1)});
   t.add_row({"p99 us", format_double(lat.percentile(99) / 1e3, 1)});
   t.add_row({"p999 us", format_double(lat.percentile(99.9) / 1e3, 1)});
@@ -83,9 +88,21 @@ int main(int argc, char** argv) {
                            1)});
   t.print();
   std::printf(
-      "\n  Knobs: raise --qps toward the engine's peak and watch p99 leave\n"
-      "  the deadline floor and go vertical (the knee bench_response_time\n"
-      "  sweeps for). Tighten --maxdelayus to trade throughput for tail;\n"
-      "  shrink --batchkeys to make the deadline bind under heavy load.\n");
+      "\n  Knobs: raise --qps toward the engine's peak and watch rounds\n"
+      "  grow from idle flushes to full ones, then p99 go vertical (the\n"
+      "  knee bench_response_time sweeps for). Tighten --maxdelayus to cap\n"
+      "  the wait behind a busy fleet; shrink --batchkeys to make the size\n"
+      "  trigger bind sooner under heavy load.\n");
+
+  const auto expected = workload::reference_ranks(rows, queries);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    if (result.ranks[i] != expected[i]) ++mismatches;
+  if (mismatches != 0) {
+    std::fprintf(stderr, "FAIL: %zu of %zu ranks differ from the reference\n",
+                 mismatches, expected.size());
+    return 1;
+  }
+  std::printf("  all %zu ranks match the reference.\n", expected.size());
   return 0;
 }

@@ -790,10 +790,13 @@ class ClusterIndex : public Index {
 
   // --- Serve phase ---------------------------------------------------------
 
-  void handle_rank_batch(std::uint32_t i, const net::Frame& frame) const {
-    net::RankBatchMsg msg;
-    std::string error;
-    if (!net::decode_rank_batch(frame, &msg, &error)) {
+  /// `reply` is the receiver thread's buffer: decode overwrites
+  /// every field, so reusing it across replies keeps the ids' and ranks'
+  /// capacity instead of allocating them per reply.
+  void handle_rank_batch(std::uint32_t i, const net::Frame& frame,
+                         net::RankBatchMsg* reply, std::string* error) const {
+    net::RankBatchMsg& msg = *reply;
+    if (!net::decode_rank_batch(frame, &msg, error)) {
       // The checksum passed, so this is a real protocol breach, not
       // wire damage: stop trusting the node.
       fail_node(i);
@@ -869,9 +872,12 @@ class ClusterIndex : public Index {
     const auto timeout =
         std::chrono::milliseconds(config_.heartbeat_timeout_ms);
     auto last_seen = Clock::now();
+    // One frame and one reply message for the thread's life, so each
+    // recv and decode reuses their capacity (as NodeService::serve does).
+    net::Frame frame;
+    net::RankBatchMsg reply;
+    std::string error;
     while (!stop_.load(std::memory_order_acquire)) {
-      net::Frame frame;
-      std::string error;
       switch (links_[i]->endpoint->recv(&frame, interval, &error)) {
         case net::Endpoint::RecvResult::kFrame: {
           last_seen = Clock::now();
@@ -882,7 +888,7 @@ class ClusterIndex : public Index {
           if (frame.header.msg_type() == net::MsgType::kRankBatch &&
               frame.header.epoch ==
                   links_[i]->epoch.load(std::memory_order_acquire)) {
-            handle_rank_batch(i, frame);
+            handle_rank_batch(i, frame, &reply, &error);
           }
           // Heartbeats carry only liveness (recorded above); any other
           // type — or a rank frame from a stale incarnation — is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -86,11 +87,14 @@ ServingResult run_open_loop(core::Client& client,
     }
   };
 
-  const auto flush = [&](double now_ns) {
-    if (batcher.size() >= batcher.max_keys())
-      ++result.size_flushes;
-    else
-      ++result.deadline_flushes;
+  using Trigger = core::AdaptiveBatcher::Trigger;
+  const auto flush = [&](double now_ns, Trigger why) {
+    switch (why) {
+      case Trigger::kSize: ++result.size_flushes; break;
+      case Trigger::kDeadline: ++result.deadline_flushes; break;
+      case Trigger::kIdle: ++result.idle_flushes; break;
+      case Trigger::kNone: DICI_CHECK_MSG(false, "flush without a trigger");
+    }
     core::AdaptiveBatcher::Batch batch = batcher.take(now_ns);
     InFlightRound round;
     round.first_query = next_flush_first;
@@ -114,36 +118,45 @@ ServingResult run_open_loop(core::Client& client,
 
   std::size_t next_arrival = 0;
   while (next_arrival < schedule.size() || !batcher.empty()) {
-    const double now_ns = epoch.elapsed_ns();
-
-    // Ingest every arrival that is due.
-    while (next_arrival < schedule.size() &&
-           schedule[next_arrival] <= now_ns) {
-      batcher.push(queries[next_arrival], schedule[next_arrival]);
-      ++next_arrival;
-      if (batcher.size() >= batcher.max_keys()) flush(now_ns);
-    }
-    if (batcher.should_flush(now_ns)) flush(now_ns);
-
-    // Opportunistically stamp rounds that finished — completion times
-    // should not wait for the next arrival gap to elapse.
+    // Stamp the rounds that finished BEFORE deciding whether to flush:
+    // completion times should not wait for the next arrival gap, and a
+    // round that just finished may leave the fleet idle, which sends
+    // the pending round at once.
     while (!in_flight.empty() && client.ready(in_flight.front().ticket)) {
       retire(in_flight.front());
       in_flight.pop_front();
     }
 
-    if (next_arrival >= schedule.size()) {
-      // Stream exhausted: force out the tail round.
-      if (!batcher.empty()) flush(epoch.elapsed_ns());
-      break;
+    // Ingest every arrival that is due; max_keys caps each round.
+    const double now_ns = epoch.elapsed_ns();
+    while (next_arrival < schedule.size() &&
+           schedule[next_arrival] <= now_ns) {
+      batcher.push(queries[next_arrival], schedule[next_arrival]);
+      ++next_arrival;
+      if (batcher.full()) flush(now_ns, Trigger::kSize);
     }
+    const Trigger why = batcher.trigger(now_ns, in_flight.size());
+    if (why != Trigger::kNone) flush(now_ns, why);
 
-    // Sleep until something can happen: the next arrival, or the
-    // pending round's deadline.
-    double target_ns = schedule[next_arrival];
+    // Wait until something can happen. With nothing in flight the
+    // batcher is empty (it just flushed kIdle), so only the next arrival
+    // can; with rounds in flight, also the pending round's deadline or
+    // the oldest round's completion, which stamps its queries and may
+    // leave the fleet idle.
+    if (in_flight.empty()) {
+      if (next_arrival < schedule.size())
+        wait_until(epoch, schedule[next_arrival]);
+      continue;
+    }
+    double target_ns = next_arrival < schedule.size()
+                           ? schedule[next_arrival]
+                           : std::numeric_limits<double>::infinity();
     if (!batcher.empty())
       target_ns = std::min(target_ns, batcher.next_deadline_ns());
-    wait_until(epoch, target_ns);
+    const core::Ticket& oldest = in_flight.front().ticket;
+    while (epoch.elapsed_ns() < target_ns && !client.ready(oldest)) {
+      // spin — a round's service time is short and its end matters
+    }
   }
 
   while (!in_flight.empty()) {
@@ -151,7 +164,8 @@ ServingResult run_open_loop(core::Client& client,
     in_flight.pop_front();
   }
 
-  result.batches = result.size_flushes + result.deadline_flushes;
+  result.batches =
+      result.size_flushes + result.deadline_flushes + result.idle_flushes;
   result.wall_seconds = epoch.elapsed_sec();
   result.achieved_qps =
       result.wall_seconds > 0

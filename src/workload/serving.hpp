@@ -4,8 +4,11 @@
 // This is where the three serving pieces meet:
 //   - open_loop.hpp draws the arrival instants (Poisson or bursty) at a
 //     fixed offered load, independent of how fast the engine answers;
-//   - core::AdaptiveBatcher accumulates arrivals into size-or-deadline
-//     rounds, reporting each query's accrued wait;
+//   - core::AdaptiveBatcher accumulates arrivals into rounds, reporting
+//     each query's accrued wait. A round goes out when it is full, when
+//     its oldest query reaches the deadline, or at once when no earlier
+//     round is in flight (work-conserving: batching only pays while the
+//     fleet is busy);
 //   - Client::submit(queries, ranks, {.queued_ns = ...}) dispatches each round
 //     asynchronously, and Client::ready() lets the loop stamp
 //     completions without stalling the arrival clock.
@@ -42,10 +45,13 @@ struct ServingConfig {
   /// Arrival schedule recipe. process must be kPoisson or kBursty;
   /// num_queries is overridden with the query stream's length.
   OpenLoopSpec arrivals;
-  /// AdaptiveBatcher size trigger (queries per dispatch round).
+  /// AdaptiveBatcher size trigger: the most queries in one dispatch
+  /// round.
   std::size_t batch_max_keys = 1024;
-  /// AdaptiveBatcher deadline trigger: max ns a query waits for its
-  /// round to fill.
+  /// AdaptiveBatcher deadline trigger: the most ns a query waits for its
+  /// round while earlier rounds are in flight. With none in flight a
+  /// round goes out at once (the idle trigger), so both knobs are upper
+  /// bounds that bind only under load.
   double batch_max_delay_ns = 200e3;
   /// Submit-ahead depth: rounds in flight before the loop back-pressures
   /// on the oldest ticket (matches the engine-side ring slack).
@@ -60,9 +66,12 @@ struct ServingResult {
   double achieved_qps = 0;  ///< queries / wall_seconds actually sustained
   double wall_seconds = 0;  ///< first arrival to last completion
   std::uint64_t num_queries = 0;
-  std::uint64_t batches = 0;          ///< dispatch rounds submitted
+  /// Dispatch rounds submitted: size_flushes + deadline_flushes +
+  /// idle_flushes.
+  std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;     ///< rounds flushed full
   std::uint64_t deadline_flushes = 0; ///< rounds flushed by the deadline
+  std::uint64_t idle_flushes = 0;     ///< rounds flushed with none in flight
   /// Caller-observed response time per query: wait()-return minus
   /// scheduled arrival (ns). Bounded memory (Summary histogram).
   Summary observed_latency_ns;
@@ -77,6 +86,7 @@ struct ServingResult {
 /// Arrival i is queries[i] at schedule[i] ns past the replay epoch; the
 /// loop sleeps out quiet gaps, batches arrivals adaptively, keeps up to
 /// max_in_flight rounds submitted, and stamps each round's completion.
+/// The last round goes out by the same triggers as the rest.
 /// Runs open loop: if the engine can't keep up, latency grows without
 /// bound — that divergence is the signal bench_response_time sweeps for.
 ServingResult run_open_loop(core::Client& client,

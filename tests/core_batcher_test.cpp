@@ -1,4 +1,4 @@
-// AdaptiveBatcher: the size-or-deadline boundaries, driven by a
+// AdaptiveBatcher: the size, deadline and idle boundaries, driven by a
 // synthetic clock — no sleeps, every edge case exact.
 #include "src/core/batcher.hpp"
 
@@ -7,29 +7,44 @@
 namespace dici::core {
 namespace {
 
+using Trigger = AdaptiveBatcher::Trigger;
+
+// A busy fleet: some earlier round is still in flight, so the idle
+// trigger cannot fire and size-or-deadline decides alone.
+constexpr std::size_t kBusy = 1;
+constexpr std::size_t kIdleFleet = 0;
+
 TEST(AdaptiveBatcher, EmptyNeverFlushes) {
   AdaptiveBatcher b(4, 100.0);
   EXPECT_TRUE(b.empty());
-  EXPECT_FALSE(b.should_flush(0.0));
-  EXPECT_FALSE(b.should_flush(1e18));  // far past any deadline
+  EXPECT_EQ(b.trigger(0.0, kBusy), Trigger::kNone);
+  EXPECT_EQ(b.trigger(1e18, kBusy), Trigger::kNone);  // far past any deadline
+}
+
+TEST(AdaptiveBatcher, EmptyNeverFlushesEvenWhenIdle) {
+  AdaptiveBatcher b(4, 100.0);
+  EXPECT_EQ(b.trigger(0.0, kIdleFleet), Trigger::kNone);
+  EXPECT_EQ(b.trigger(1e18, kIdleFleet), Trigger::kNone);
 }
 
 TEST(AdaptiveBatcher, SizeTriggerExactlyAtCapacity) {
   AdaptiveBatcher b(4, 1e9);  // deadline far away: size is the trigger
   for (key_t k = 0; k < 3; ++k) {
     b.push(k, 0.0);
-    EXPECT_FALSE(b.should_flush(1.0)) << "at " << b.size() << " keys";
+    EXPECT_EQ(b.trigger(1.0, kBusy), Trigger::kNone)
+        << "at " << b.size() << " keys";
   }
   b.push(3, 0.0);  // exactly max_keys
-  EXPECT_TRUE(b.should_flush(1.0));
+  EXPECT_TRUE(b.full());
+  EXPECT_EQ(b.trigger(1.0, kBusy), Trigger::kSize);
 }
 
 TEST(AdaptiveBatcher, DeadlineTriggerExactlyAtMaxDelay) {
   AdaptiveBatcher b(1000, 100.0);
   b.push(7, 50.0);  // oldest arrival at t = 50
-  EXPECT_FALSE(b.should_flush(149.999));  // age just under max_delay
-  EXPECT_TRUE(b.should_flush(150.0));     // age == max_delay: flush
-  EXPECT_TRUE(b.should_flush(151.0));
+  EXPECT_EQ(b.trigger(149.999, kBusy), Trigger::kNone);  // just under
+  EXPECT_EQ(b.trigger(150.0, kBusy), Trigger::kDeadline);  // age == max
+  EXPECT_EQ(b.trigger(151.0, kBusy), Trigger::kDeadline);
 }
 
 TEST(AdaptiveBatcher, DeadlineIsTheOldestQuerys) {
@@ -37,8 +52,40 @@ TEST(AdaptiveBatcher, DeadlineIsTheOldestQuerys) {
   b.push(1, 10.0);
   b.push(2, 90.0);  // younger; must not extend the deadline
   EXPECT_DOUBLE_EQ(b.next_deadline_ns(), 110.0);
-  EXPECT_FALSE(b.should_flush(109.0));
-  EXPECT_TRUE(b.should_flush(110.0));
+  EXPECT_EQ(b.trigger(109.0, kBusy), Trigger::kNone);
+  EXPECT_EQ(b.trigger(110.0, kBusy), Trigger::kDeadline);
+}
+
+TEST(AdaptiveBatcher, OnePendingKeyFlushesAtOnceWhenIdle) {
+  AdaptiveBatcher b(4, 100.0);
+  b.push(9, 50.0);
+  EXPECT_EQ(b.trigger(50.0, kIdleFleet), Trigger::kIdle);  // no wait at all
+}
+
+TEST(AdaptiveBatcher, OnePendingKeyWaitsForSizeOrDeadlineWhileBusy) {
+  // One round in flight: the pending key waits for the deadline...
+  AdaptiveBatcher b(4, 100.0);
+  b.push(9, 50.0);
+  EXPECT_EQ(b.trigger(50.0, kBusy), Trigger::kNone);
+  EXPECT_EQ(b.trigger(149.0, kBusy), Trigger::kNone);  // deadline - 1
+  EXPECT_EQ(b.trigger(150.0, kBusy), Trigger::kDeadline);
+  // ...or for the batch to fill, whichever comes first.
+  for (key_t k = 10; k < 12; ++k) {
+    b.push(k, 60.0);
+    EXPECT_EQ(b.trigger(60.0, kBusy), Trigger::kNone)
+        << "at " << b.size() << " keys";
+  }
+  b.push(12, 60.0);  // exactly max_keys
+  EXPECT_EQ(b.trigger(60.0, kBusy), Trigger::kSize);
+}
+
+TEST(AdaptiveBatcher, FullBatchReportsSizeEvenWhenIdle) {
+  AdaptiveBatcher b(2, 100.0);
+  b.push(1, 0.0);
+  EXPECT_EQ(b.trigger(0.0, kIdleFleet), Trigger::kIdle);
+  b.push(2, 0.0);
+  EXPECT_EQ(b.trigger(0.0, kIdleFleet), Trigger::kSize);
+  EXPECT_EQ(b.trigger(1e18, kIdleFleet), Trigger::kSize);  // also past deadline
 }
 
 TEST(AdaptiveBatcher, TakeReportsPerQueryAccruedWait) {
@@ -55,7 +102,7 @@ TEST(AdaptiveBatcher, TakeReportsPerQueryAccruedWait) {
   EXPECT_DOUBLE_EQ(batch.queued_ns[2], 70.0);
   // take() resets: the next round starts empty with a fresh deadline.
   EXPECT_TRUE(b.empty());
-  EXPECT_FALSE(b.should_flush(1e18));
+  EXPECT_EQ(b.trigger(1e18, kBusy), Trigger::kNone);
   b.push(44, 200.0);
   EXPECT_DOUBLE_EQ(b.next_deadline_ns(), 300.0);
 }
@@ -66,7 +113,7 @@ TEST(AdaptiveBatcher, SizeBeatsDeadlineUnderLoad) {
   AdaptiveBatcher b(2, 1000.0);
   b.push(1, 0.0);
   b.push(2, 0.5);
-  EXPECT_TRUE(b.should_flush(1.0));  // full at t=1, deadline was t=1000
+  EXPECT_EQ(b.trigger(1.0, kBusy), Trigger::kSize);  // deadline was t=1000
 }
 
 TEST(AdaptiveBatcher, ZeroDelayDegeneratesToImmediateFlush) {
@@ -74,7 +121,7 @@ TEST(AdaptiveBatcher, ZeroDelayDegeneratesToImmediateFlush) {
   // batcher-less Method-A-style configuration.
   AdaptiveBatcher b(1000, 0.0);
   b.push(5, 42.0);
-  EXPECT_TRUE(b.should_flush(42.0));
+  EXPECT_EQ(b.trigger(42.0, kBusy), Trigger::kDeadline);
 }
 
 TEST(AdaptiveBatcherDeath, RejectsNonsenseKnobs) {

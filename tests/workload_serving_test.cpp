@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "src/core/parallel_engine.hpp"
@@ -63,8 +64,8 @@ TEST(Serving, OpenLoopServesEveryQueryWithCorrectRanks) {
         run_open_loop(*client, fx.queries, fast_config(process));
 
     EXPECT_EQ(result.num_queries, fx.queries.size());
-    EXPECT_EQ(result.batches,
-              result.size_flushes + result.deadline_flushes);
+    EXPECT_EQ(result.batches, result.size_flushes + result.deadline_flushes +
+                                  result.idle_flushes);
     EXPECT_GT(result.batches, 1u);
     EXPECT_GT(result.wall_seconds, 0.0);
     EXPECT_GT(result.achieved_qps, 0.0);
@@ -90,6 +91,42 @@ TEST(Serving, OpenLoopServesEveryQueryWithCorrectRanks) {
       if (result.ranks[i] != fx.expected[i]) ++mismatches;
     EXPECT_EQ(mismatches, 0u) << arrival_process_name(process);
   }
+}
+
+TEST(Serving, TrickleFlushesWhileIdleInsteadOfWaitingOutTheDeadline) {
+  // 20 kqps against a 50 ms deadline and 1024-key rounds: ~1000
+  // arrivals per deadline never fill a round, so the size-or-deadline
+  // rule alone would hold each query ~25 ms at the median. With no
+  // round in flight nothing is gained by waiting, so every query goes
+  // out (nearly) as it arrives.
+  const auto& fx = fixture();
+  core::ParallelConfig cfg;
+  cfg.num_threads = 2;
+  cfg.pin_threads = false;
+  const core::ParallelNativeEngine engine(cfg);
+  const auto index = engine.build(fx.keys);
+  const auto client = index->connect();
+  auto config = fast_config(ArrivalProcess::kPoisson);
+  config.arrivals.offered_qps = 20e3;
+  config.batch_max_keys = 1024;
+  config.batch_max_delay_ns = 50e6;
+  // ~200 ms of arrivals: long enough that one scheduling stall on a
+  // loaded test host cannot hold half the queries.
+  constexpr std::size_t kQueries = 4000;
+  const std::span<const key_t> queries(fx.queries.data(), kQueries);
+  const auto result = run_open_loop(*client, queries, config);
+
+  EXPECT_GT(result.idle_flushes, 0u);
+  EXPECT_EQ(result.deadline_flushes, 0u);
+  EXPECT_EQ(result.batches, result.size_flushes + result.deadline_flushes +
+                                result.idle_flushes);
+  EXPECT_EQ(result.observed_latency_ns.count(), kQueries);
+  EXPECT_LT(result.observed_latency_ns.percentile(50), 5e6);
+  ASSERT_EQ(result.ranks.size(), kQueries);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kQueries; ++i)
+    if (result.ranks[i] != fx.expected[i]) ++mismatches;
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Serving, BackPressureBoundsInFlightRounds) {
