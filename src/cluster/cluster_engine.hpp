@@ -1,60 +1,50 @@
 // ClusterEngine — Method C-3 on N nodes that share no memory.
 //
-// The backend the ROADMAP's top item asks for: the same master/slave
-// architecture ParallelNativeEngine runs over shared-memory rings, but
-// with the shared memory removed. build() scatters shard replicas to N
-// ClusterNode objects as serialized kBuildShard frames; submit() routes
-// a batch with the same dispatch_master_rounds loop parallel-native
-// uses, but each per-shard message leaves the coordinator as a
-// length-prefixed kQueryBatch frame on a net::Endpoint and its answers
-// come back as a kRankBatch frame that a per-node receiver thread
-// scatters into the caller's out_ranks by query id (the
-// order-preserving merge). Three transports plug into the seam — a
-// UNIX-domain socketpair to node threads in this process (kSocket), a
-// socketpair inherited across fork/exec into a spawned dici_node child
-// (kFork), and a loopback TCP connection to a spawned child (kTcp) —
-// and all three carry identical wire-v3 bytes through the same
-// FdEndpoint, so bench_cluster can put a real number on what
-// LinkModel::message_ps simulates, and the SAME test suite runs
-// against threads and against real processes.
+// The paper's master/slave architecture with the shared memory removed.
+// build() ships shard replicas to N nodes as kBuildShard frames. submit()
+// routes a batch with the dispatch_master_rounds loop parallel-native
+// uses, but each per-shard chunk leaves as a kQueryBatch frame on a
+// net::Endpoint, and its answers come back as a kRankBatch frame whose
+// ranks are scattered into the caller's out_ranks by query id. Three
+// transports carry the same wire-v3 bytes through one FdEndpoint: a
+// socketpair to node threads in this process (kSocket), a socketpair
+// inherited by a spawned dici_node child (kFork), and loopback TCP to a
+// spawned child (kTcp).
 //
-// Placement (reusing the index/placement vocabulary):
-//   kInterleave / kNodeLocal — shard s lives on node s % N. On a wire
-//       the two are the same assignment (every replica is "local" to
-//       exactly the node it was shipped to); both names are accepted so
-//       matrix cells sweep the axis uniformly.
-//   kReplicate — every node gets the full key array; queries
-//       round-robin across nodes and resolve at global offset 0 (the
-//       paper's replicated strategy, traded bandwidth for balance).
+// Placement: kInterleave and kNodeLocal put shard s on node s % N (on a
+// wire they are one assignment; both names are accepted so matrix cells
+// sweep the axis uniformly). kReplicate ships every node the whole array
+// and round-robins chunks across them (the paper's replicated strategy).
 //
-// Failure semantics (the part simulators get for free and real
-// clusters must earn): each node heartbeats the coordinator; a per-node
-// receiver thread marks a silent node DEAD after heartbeat_timeout_ms.
-// Every dispatched message is a tracked CHUNK that the coordinator
-// re-sends with capped exponential backoff (max_retries, then failover)
-// until exactly one reply claims it — so dropped, delayed, duplicated,
-// and corrupted frames (see net/fault.hpp) all converge to a complete
-// batch with exact ranks. When a node dies outright:
-//   * failover on  + a surviving replica holds the chunk's shard
-//     (always true under kReplicate) — the chunk is re-routed to a live
-//     holder and the batch completes with zero caller-visible errors;
-//   * no surviving replica (kInterleave/kNodeLocal own each shard
-//     exactly once), or failover off — wait() throws NodeFailureError
-//     naming the node instead of hanging. Replies already scattered
-//     from live nodes are unaffected either way.
-// A node killed mid-batch (ClusterNode::kill) is indistinguishable from
-// a powered-off machine; cluster_rejoin_node re-admits it afterwards:
-// DEAD -> JOINING handshake on a FRESH link (epoch bumped, so stale
-// incarnations can never be mistaken for current traffic), shards
-// re-shipped via chunked kBuildShard, then back into routing rotation.
-// Build and re-join climb one join ladder; only their failure policy
-// differs (the build aborts, a re-join returns false).
+// Structure: one single-threaded Coordinator (coordinator.hpp, which
+// documents the retry and failover policy) makes every decision. The
+// index runs it, with these threads:
+//   * the client's submitting thread encodes and sends each chunk;
+//   * one receiver per node reads its link: a node silent past
+//     heartbeat_timeout_ms, or whose link closes or breaks, is DEAD, and
+//     each reply is claimed and scattered;
+//   * one sweeper hands the Coordinator the clock, for retries.
+// Each calls the Coordinator under the index's one mutex, then sends
+// (under the link's own tx mutex) and scatters claimed ranks after
+// releasing it. The only other lock is each submission's completion
+// signal, which wait() blocks on. The claim makes a scatter exactly-once
+// however many copies of a chunk are answered, and a reply is claimed
+// only if its query ids equal the chunk's request's: a node that breaks
+// that is failed like a dead one.
+//
+// Failure semantics: dropped, delayed, duplicated and corrupted frames
+// (net/fault.hpp) converge to exact ranks through retries. When a node
+// dies, its chunks move to a live replica holder (failover on, under
+// kReplicate), or the submission fails with a NodeFailureError naming the
+// node (kInterleave/kNodeLocal own each shard once, or failover is off).
+// cluster_rejoin_node re-admits a DEAD node on a fresh link at a new
+// epoch, so nothing its old incarnation sent is taken for current
+// traffic. Build and re-join climb one join ladder and differ only in
+// failure policy: the build aborts, a re-join returns false.
 //
 // What stays coordinator-side: SubmitOptions::delta (rank corrections
-// are applied as a post-pass over the returned ranks, so the Store
-// write path works unchanged and nodes stay delta-oblivious) and
-// per-query wall latency (submit stamp to reply-arrival stamp, per-node
-// Summary slots).
+// are a post-pass over the returned ranks, so nodes stay delta-oblivious)
+// and per-query wall latency (submit stamp to reply arrival).
 #pragma once
 
 #include <memory>

@@ -77,32 +77,10 @@ void Membership::transition(std::uint32_t node, NodeStatus to) {
   info.status = to;
 }
 
-void Membership::record_alive(std::uint32_t node,
-                              std::chrono::steady_clock::time_point now) {
-  DICI_CHECK_FMT(node < nodes_.size(), "Membership: node %u of %zu", node,
-                 nodes_.size());
-  nodes_[node].last_seen = now;
-}
-
 void Membership::set_shards(std::uint32_t node, std::uint32_t shards) {
   DICI_CHECK_FMT(node < nodes_.size(), "Membership: node %u of %zu", node,
                  nodes_.size());
   nodes_[node].shards = shards;
-}
-
-std::vector<std::uint32_t> Membership::expire(
-    std::chrono::steady_clock::time_point now,
-    std::chrono::milliseconds timeout) {
-  std::vector<std::uint32_t> newly_dead;
-  for (NodeInfo& info : nodes_) {
-    if (info.status == NodeStatus::kNull || info.status == NodeStatus::kDead)
-      continue;
-    if (now - info.last_seen > timeout) {
-      info.status = NodeStatus::kDead;
-      newly_dead.push_back(info.id);
-    }
-  }
-  return newly_dead;
 }
 
 std::uint32_t Membership::alive_count() const {

@@ -6,7 +6,7 @@
 // Status ladder (one node's life):
 //
 //   kNull ──join request──▶ kJoining ──join ack──▶ kAck
-//     kAck ──build ack / first heartbeat──▶ kAlive
+//     kAck ──build ack──▶ kAlive
 //     kJoining | kAck | kAlive ──timeout / link closed──▶ kDead
 //     kDead ──new join request──▶ kJoining          (re-join)
 //
@@ -14,17 +14,16 @@
 // node, the current status, and the attempted one
 // (cluster_membership_test death-tests the table). The DEAD edge is the
 // one that matters operationally: heartbeat timeouts route through it,
-// and ClusterEngine converts it into failing the node's in-flight
-// batches with a diagnosable NodeFailureError instead of hanging.
+// and the coordinator (Coordinator::on_node_dead, the only path there)
+// bumps the node's epoch and moves or writes off its in-flight chunks.
 //
 // This class is plain data + transition rules: no locks (the owner
-// serializes access — the coordinator under its membership mutex, a
-// node on its single service thread), no I/O (the wire encoding of the
-// broadcast table lives in net/wire.hpp; to_entries/apply_entries
+// serializes access — the Coordinator under the cluster index's mutex,
+// a node on its single service thread), no I/O (the wire encoding of
+// the broadcast table lives in net/wire.hpp; to_entries/apply_entries
 // convert).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -50,9 +49,6 @@ struct NodeInfo {
   std::uint32_t id = 0;
   NodeStatus status = NodeStatus::kNull;
   std::uint32_t shards = 0;  ///< shard replicas assigned to this node
-  /// Last proof of life (join, build ack, heartbeat, or query reply),
-  /// on the owner's steady clock.
-  std::chrono::steady_clock::time_point last_seen{};
 };
 
 class Membership {
@@ -72,17 +68,7 @@ class Membership {
   /// report a death.
   void transition(std::uint32_t node, NodeStatus to);
 
-  /// Record proof of life at `now` (does not change status).
-  void record_alive(std::uint32_t node,
-                    std::chrono::steady_clock::time_point now);
-
   void set_shards(std::uint32_t node, std::uint32_t shards);
-
-  /// Mark every JOINING/ACK/ALIVE node not seen within `timeout` of
-  /// `now` as DEAD; returns the newly dead ids. (Heartbeat timers call
-  /// this; nodes already dead or never joined are skipped.)
-  std::vector<std::uint32_t> expire(std::chrono::steady_clock::time_point now,
-                                    std::chrono::milliseconds timeout);
 
   /// How many nodes currently serve (kAlive).
   std::uint32_t alive_count() const;

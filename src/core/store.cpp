@@ -88,7 +88,7 @@ class GenCompletion : public Client::Completion {
 };
 
 /// The Client a Store hands out: each submit loads the current
-/// generation (lock-free), lazily reconnects its inner backend client
+/// generation (one pointer copy), lazily reconnects its inner backend client
 /// when the BASE moved (a flush that only grew the delta reuses the
 /// warm connection), and forwards the generation's delta snapshot
 /// through SubmitOptions so the backend folds live-set corrections at
@@ -184,9 +184,14 @@ std::int64_t Store::live_locked() const {
 
 void Store::publish_locked() {
   ++epoch_;
-  current_.store(
-      std::make_shared<const Generation>(base_, delta_.snapshot(), epoch_),
-      std::memory_order_release);
+  std::shared_ptr<const Generation> next =
+      std::make_shared<const Generation>(base_, delta_.snapshot(), epoch_);
+  {
+    std::lock_guard lock(current_mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the old generation: its last reference may tear
+  // down a worker fleet, which happens here, outside current_mu_.
   dirty_ = false;
 }
 

@@ -16,12 +16,13 @@
 // background rebuild thread folds the delta into a fresh immutable
 // Index generation — re-running the backend's full build, so
 // ParallelNativeEngine re-places shards first-touch on a fresh pinned
-// fleet — and publishes it by RCU/epoch swap:
+// fleet — and publishes it by RCU/epoch swap of one
+// shared_ptr<const Generation>, behind a mutex that guards only that
+// pointer.
 //
-//   std::atomic<std::shared_ptr<const Generation>>
-//
-// Readers never block and writers never stall readers: a read submit is
-// one lock-free atomic load of the current generation; in-flight
+// Readers never wait on writers: a read submit copies the current
+// generation's pointer, and the write side holds the pointer's mutex
+// only for the swap itself, never across a fold or a build; in-flight
 // tickets pin their generation (base Index + snapshot) by shared_ptr
 // and finish against it even while a newer generation is published; the
 // old generation's fleet is torn down only after its last pinned reader
@@ -154,7 +155,7 @@ class Store : public std::enable_shared_from_this<Store> {
   ~Store();  // stops and joins the rebuild thread
 
   /// A generation-aware read client: each submit resolves against the
-  /// generation current AT SUBMIT (one lock-free atomic load), carrying
+  /// generation current AT SUBMIT (one pointer copy), carrying
   /// its delta snapshot through SubmitOptions::delta; in-flight tickets
   /// keep their generation pinned across any number of swaps. The
   /// caller-facing contract is exactly core::Client's.
@@ -163,9 +164,10 @@ class Store : public std::enable_shared_from_this<Store> {
   /// A write stream (see Writer).
   std::unique_ptr<Writer> writer();
 
-  /// The currently published generation (lock-free load; never null).
+  /// The currently published generation (never null).
   std::shared_ptr<const Generation> current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard lock(current_mu_);
+    return current_;
   }
 
   /// Monotonic publication counter of current().
@@ -220,10 +222,15 @@ class Store : public std::enable_shared_from_this<Store> {
   std::condition_variable rebuild_cv_;      ///< wakes the rebuild thread
   mutable std::condition_variable fold_cv_;  ///< signals fold completions
 
-  /// The RCU publish point: readers load, the write side stores under
-  /// mu_. An in-flight ticket's shared_ptr keeps its generation (and
+  /// The RCU publish point: readers copy, the write side (under mu_)
+  /// swaps. current_mu_ guards only this pointer, so a reader waits at
+  /// most for one pointer swap, never for mu_. (A mutex, not
+  /// std::atomic<std::shared_ptr>: libstdc++ guards that with a lock
+  /// bit ThreadSanitizer cannot see, so it reported the publish as a
+  /// race.) An in-flight ticket's shared_ptr keeps its generation (and
   /// the base's worker fleet) alive across any number of swaps.
-  std::atomic<std::shared_ptr<const Generation>> current_;
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const Generation> current_;
 
   std::atomic<std::uint64_t> rebuilds_{0};
   std::atomic<bool> rebuild_active_{false};

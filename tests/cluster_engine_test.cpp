@@ -740,8 +740,9 @@ TEST(ClusterProcess, FailedRejoinReturnsFalseAndLeavesTheNodeDead) {
 // --- A lying node: replies are checked before they are written ------------
 
 /// dici_lying_node, built next to this test binary: node 1 answers every
-/// query batch with an out-of-range query id (DICI_LIE=id) or one answer
-/// short (DICI_LIE=count). See tests/support/lying_node.cpp.
+/// query batch with an out-of-range query id (DICI_LIE=id), one answer
+/// short (DICI_LIE=count), or one query answered twice and another not
+/// at all (DICI_LIE=dup). See tests/support/lying_node.cpp.
 std::string lying_node_binary() {
   char exe[PATH_MAX];
   const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -750,14 +751,15 @@ std::string lying_node_binary() {
   return std::string(::dirname(exe)) + "/dici_lying_node";
 }
 
-constexpr const char* kLies[] = {"id", "count"};
+constexpr const char* kLies[] = {"id", "count", "dup"};
 
 TEST(ClusterProcess, LyingNodeIsFailedAndItsChunksFailOverUnderReplicate) {
   // The coordinator writes each answer at out[id], with ids decoded from
-  // another process. A reply naming an id outside the submission, or
-  // answering a different number of queries than its chunk carried, is
-  // a protocol breach: the node is failed before anything is written,
-  // and its chunks re-route to the replicas, so every rank stays exact.
+  // another process. A reply whose ids are not exactly its chunk's (an
+  // id outside the submission, an answer missing, or one query answered
+  // twice) is a protocol breach: the node is failed before anything is
+  // written, and its chunks re-route to the replicas, so every rank
+  // stays exact.
   const auto& fx = fixture();
   for (const char* lie : kLies) {
     ScopedEnv env("DICI_LIE", lie);

@@ -1,18 +1,13 @@
 // The membership state machine in isolation: the full can_transition
 // table (legal ladder edges, every illegal edge death-tested), the
-// join -> ack -> alive ordering, heartbeat expiry to DEAD, re-join from
+// join -> ack -> alive ordering, re-join from
 // DEAD, and the wire round trip of the broadcast cluster-info table.
 #include "src/cluster/membership.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 namespace dici::cluster {
 namespace {
-
-using namespace std::chrono_literals;
-using Clock = std::chrono::steady_clock;
 
 constexpr NodeStatus kAll[] = {NodeStatus::kNull, NodeStatus::kJoining,
                                NodeStatus::kAck, NodeStatus::kAlive,
@@ -89,36 +84,6 @@ TEST(Membership, SameStatusTransitionIsNoOp) {
   m.transition(0, NodeStatus::kDead);
   m.transition(0, NodeStatus::kDead);
   EXPECT_EQ(m.status(0), NodeStatus::kDead);
-}
-
-// --- Expiry (the failure detector's edge) ---------------------------------
-
-TEST(Membership, ExpireMarksOnlySilentJoinedNodesDead) {
-  Membership m(4);
-  const auto t0 = Clock::now();
-  // Node 0: alive and recently seen. Node 1: alive but silent. Node 2:
-  // still null (never contacted — expiry must not touch it). Node 3:
-  // acked then silent.
-  for (const std::uint32_t i : {0u, 1u, 3u}) {
-    m.transition(i, NodeStatus::kJoining);
-    m.transition(i, NodeStatus::kAck);
-    m.record_alive(i, t0);
-  }
-  m.transition(0, NodeStatus::kAlive);
-  m.transition(1, NodeStatus::kAlive);
-  m.record_alive(0, t0 + 300ms);
-
-  const auto dead = m.expire(t0 + 400ms, 250ms);
-  ASSERT_EQ(dead.size(), 2u);
-  EXPECT_EQ(dead[0], 1u);
-  EXPECT_EQ(dead[1], 3u);
-  EXPECT_EQ(m.status(0), NodeStatus::kAlive);
-  EXPECT_EQ(m.status(1), NodeStatus::kDead);
-  EXPECT_EQ(m.status(2), NodeStatus::kNull);
-  EXPECT_EQ(m.status(3), NodeStatus::kDead);
-  // A second sweep reports nothing new: the dead stay dead (never
-  // re-reported) and node 0 is still inside its timeout window.
-  EXPECT_TRUE(m.expire(t0 + 500ms, 250ms).empty());
 }
 
 TEST(Membership, ReJoinAfterDeathResetsShards) {

@@ -11,7 +11,10 @@
 //                     submission;
 //   count           — the reply drops its last answer (an id and its
 //                     rank), so it answers fewer queries than its chunk
-//                     carried.
+//                     carried;
+//   dup             — the second answer repeats the first (its id and
+//                     rank), so the count and every id are plausible but
+//                     one query is answered twice and another not at all.
 // Every other node, and every other frame, is honest.
 
 #include <signal.h>
@@ -37,21 +40,31 @@ constexpr std::uint32_t kLiar = 1;
 /// Rewrites the node's outgoing kRankBatch frames; forwards the rest.
 class LyingEndpoint final : public Endpoint {
  public:
-  LyingEndpoint(std::unique_ptr<Endpoint> inner, bool drop_answer)
-      : inner_(std::move(inner)), drop_answer_(drop_answer) {}
+  enum class Lie { kId, kCount, kDup };
+
+  LyingEndpoint(std::unique_ptr<Endpoint> inner, Lie lie)
+      : inner_(std::move(inner)), lie_(lie) {}
 
   SendResult send(const Frame& frame,
                   std::chrono::nanoseconds timeout) override {
     dici::net::RankBatchMsg msg;
     std::string error;
     if (frame.header.msg_type() != dici::net::MsgType::kRankBatch ||
-        !dici::net::decode_rank_batch(frame, &msg, &error) || msg.ids.empty())
+        !dici::net::decode_rank_batch(frame, &msg, &error) ||
+        msg.ids.size() < 2)
       return inner_->send(frame, timeout);
-    if (drop_answer_) {
-      msg.ids.pop_back();
-      msg.ranks.pop_back();
-    } else {
-      msg.ids.front() = 0x7fffffffu;
+    switch (lie_) {
+      case Lie::kId:
+        msg.ids.front() = 0x7fffffffu;
+        break;
+      case Lie::kCount:
+        msg.ids.pop_back();
+        msg.ranks.pop_back();
+        break;
+      case Lie::kDup:
+        msg.ids[1] = msg.ids[0];
+        msg.ranks[1] = msg.ranks[0];
+        break;
     }
     Frame lie = dici::net::encode_rank_batch(frame.header.src, msg);
     lie.header.epoch = frame.header.epoch;
@@ -69,7 +82,7 @@ class LyingEndpoint final : public Endpoint {
 
  private:
   std::unique_ptr<Endpoint> inner_;
-  bool drop_answer_;
+  Lie lie_;
 };
 
 }  // namespace
@@ -94,8 +107,11 @@ int main(int argc, char** argv) {
       std::make_unique<dici::net::FdEndpoint>(static_cast<int>(fd));
   if (static_cast<std::uint32_t>(id) == kLiar) {
     const char* mode = std::getenv("DICI_LIE");
-    const bool drop_answer = mode != nullptr && std::strcmp(mode, "count") == 0;
-    link = std::make_unique<LyingEndpoint>(std::move(link), drop_answer);
+    const std::string lie = mode != nullptr ? mode : "id";
+    link = std::make_unique<LyingEndpoint>(
+        std::move(link), lie == "count" ? LyingEndpoint::Lie::kCount
+                         : lie == "dup" ? LyingEndpoint::Lie::kDup
+                                        : LyingEndpoint::Lie::kId);
   }
   dici::cluster::NodeService service(static_cast<std::uint32_t>(id), *link);
   service.run();
